@@ -17,11 +17,12 @@
 //! | `exp_fig10`  | Fig. 10 — quality vs storage constraint |
 //! | `exp_ablation` | design-choice ablations (DESIGN.md §5) |
 //! | `exp_parallel` | thread/cache scaling → `BENCH_parallel.json` |
-//! | `exp_incremental` | incremental candidate engine on/off → `BENCH_incremental.json` |
-//! | `exp_derived` | derived what-if costing on/off → `BENCH_derived.json` |
-//! | `exp_hotpath` | flat hot-path on/off + phase attribution → `BENCH_hotpath.json` |
+//! | `exp_incremental` | historical: incremental candidate engine on/off; removed with the reference modes (EXPERIMENTS.md keeps its numbers) |
+//! | `exp_derived` | historical: derived what-if costing on/off; removed with the reference modes |
+//! | `exp_hotpath` | historical: flat hot path on/off; removed with the reference modes |
 //! | `exp_budget` | what-if call-budget frontier → `BENCH_budget.json` |
 //! | `exp_serve_shared` | cross-session shared what-if store → `BENCH_shared.json` |
+//! | `exp_replay` | warm re-tuning under workload drift → `BENCH_replay.json` |
 
 pub mod json;
 

@@ -4,21 +4,17 @@
 //! skyline dominance scan.
 //!
 //! Everything here is allocation *placement*, never logic: the flat
-//! engine (`TunerOptions::flat_hot_path`) stores exactly the same
-//! key/value pairs the hash-keyed reference engine stores, probed by
-//! the bits of signatures that are already high-quality hashes instead
-//! of re-hashing them through SipHash. Contents, counters, and
-//! iteration-order-independent reductions are byte-identical across
-//! both layouts, which the 200-seed sweep in `tests/flat_hot_path.rs`
-//! asserts end to end.
+//! cost cache stores exactly the key/value pairs the hash-keyed
+//! backend would, probed by the bits of signatures that are already
+//! high-quality hashes instead of re-hashing them through SipHash.
 //!
 //! Lifetime argument (DESIGN.md §13): every structure in this module is
 //! scratch or session-local cache. `SkylineScratch` buffers live on the
 //! driver's stack frame for the whole session and are overwritten at
-//! each use; `ProbeTable`s live inside the memo/cost caches and die
-//! with the session. Nothing here is serialized: checkpoints keep
-//! writing portable 128-bit signatures, and id tables are rebuilt from
-//! those on resume.
+//! each use; `ProbeTable`s live inside the cost caches and die with the
+//! session. Nothing here is serialized: checkpoints keep writing
+//! portable 128-bit signatures, and the tables are rebuilt from those on
+//! resume.
 
 /// Pad a shard to its own cache line so concurrent workers touching
 /// adjacent shards do not false-share lock words or map headers.
@@ -33,7 +29,7 @@ impl<T> std::ops::Deref for CachePadded<T> {
     }
 }
 
-/// Shard count for the flat memo/cost caches, derived from the actual
+/// Shard count for the flat cost caches, derived from the actual
 /// worker count instead of a fixed constant: enough shards that workers
 /// rarely collide (4x oversubscription smooths hash skew), rounded to a
 /// power of two so selection is a mask, clamped to keep the table walk
@@ -43,17 +39,10 @@ pub fn shard_count(workers: usize) -> usize {
 }
 
 /// A key whose probe hash is derivable from its own bits — the keys the
-/// flat engine stores are built from signatures that are already
+/// flat tables store are built from signatures that are already
 /// uniformly distributed hashes, so no hasher runs on the hot path.
 pub trait ProbeKey: Copy + Eq {
     fn probe_hash(&self) -> u64;
-}
-
-/// Bound-memo key: (transformation signature, dense configuration id).
-impl ProbeKey for (u64, u32) {
-    fn probe_hash(&self) -> u64 {
-        self.0 ^ u64::from(self.1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
 }
 
 /// Cost-cache fine key: (query index, 128-bit projection signature).
@@ -121,8 +110,8 @@ impl<K: ProbeKey, V> ProbeTable<K, V> {
         }
     }
 
-    /// Insert or overwrite. The flat engine only ever overwrites with a
-    /// bitwise-identical value (both engines compute pure functions of
+    /// Insert or overwrite. Callers only ever overwrite with a
+    /// bitwise-identical value (cached answers are pure functions of
     /// the key), so insertion order cannot leak into lookups.
     pub fn insert(&mut self, key: K, value: V) {
         if self.slots.len() < 2 * (self.len + 1) {
@@ -162,19 +151,17 @@ impl<K: ProbeKey, V> ProbeTable<K, V> {
     }
 
     /// Every entry, in slot order. Callers that need determinism sort
-    /// by the full key afterwards (contents are set-equal to the
-    /// reference engine's, so the sorted dump is byte-identical).
+    /// by the full key afterwards.
     pub fn iter(&self) -> impl Iterator<Item = &(K, V)> {
         self.slots.iter().flatten()
     }
 }
 
-/// Reusable SoA buffers for the §3.6 skyline dominance scan: the flat
-/// engine loads the open candidates' (ΔT, ΔS) pairs into two dense
-/// columns and computes one dominated-flag per position, instead of
-/// building a fresh `Vec<(f64, f64)>` snapshot per iteration and
-/// re-scanning it per candidate through a closure. Same double loop,
-/// same comparisons, same flags — only the memory shape changes.
+/// Reusable SoA buffers for the §3.6 skyline dominance scan: the
+/// search loads the open candidates' (ΔT, ΔS) pairs into two dense
+/// columns and computes one dominated-flag per position, reusing the
+/// buffers across iterations. Debug builds check the flags against a
+/// per-candidate re-scan at the point of use.
 #[derive(Default)]
 pub struct SkylineScratch {
     delta_t: Vec<f64>,
@@ -228,19 +215,19 @@ mod tests {
 
     #[test]
     fn probe_table_round_trips_and_grows() {
-        let mut t: ProbeTable<(u64, u32), f64> = ProbeTable::new();
+        let mut t: ProbeTable<(u32, u128), f64> = ProbeTable::new();
         assert!(t.get((1, 2)).is_none());
-        for i in 0..1000u64 {
-            t.insert((i.wrapping_mul(0xABCDEF), i as u32), i as f64);
+        for i in 0..1000u32 {
+            t.insert((i, u128::from(i).wrapping_mul(0xABCDEF)), f64::from(i));
         }
         assert_eq!(t.len(), 1000);
-        for i in 0..1000u64 {
+        for i in 0..1000u32 {
             assert_eq!(
-                t.get((i.wrapping_mul(0xABCDEF), i as u32)),
-                Some(&(i as f64))
+                t.get((i, u128::from(i).wrapping_mul(0xABCDEF))),
+                Some(&f64::from(i))
             );
         }
-        assert!(t.get((1, 999)).is_none());
+        assert!(t.get((999, 1)).is_none());
         // Overwrite does not change the length.
         t.insert((0, 0), 42.0);
         assert_eq!(t.len(), 1000);

@@ -29,14 +29,13 @@
 //! store* ([`CostCache::invocation_lookup`]) recovers that work without
 //! touching determinism: every real optimizer answer is recorded
 //! immediately, keyed exactly like the cost cache, and served on later
-//! keyed misses in derived mode. Because the stored value is a pure
-//! function of the key (the optimizer is deterministic over the
-//! projected configuration), serving it is bitwise identical to
-//! re-invoking the optimizer — so which probes happen to be served
-//! (which *is* scheduling-dependent under parallel scoring) can never
-//! leak into costs, counters, traces, or checkpoints. Only the
-//! process-global real-invocation count drops. The store is never
-//! checkpointed and the reference engine never reads it.
+//! keyed misses. Because the stored value is a pure function of the
+//! key (the optimizer is deterministic over the projected
+//! configuration), serving it is bitwise identical to re-invoking the
+//! optimizer — so which probes happen to be served (which *is*
+//! scheduling-dependent under parallel scoring) can never leak into
+//! costs, counters, traces, or checkpoints. Only the process-global
+//! real-invocation count drops. The store is never checkpointed.
 //!
 //! [`Configuration::signature_for_tables128`]: pdt_physical::Configuration::signature_for_tables128
 

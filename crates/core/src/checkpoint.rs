@@ -25,7 +25,7 @@ use crate::cache::{CacheEntry, CostCache, DerivedTally};
 use crate::derived::QueryRelevance;
 use crate::error::TuneError;
 use crate::fault::{FaultEvent, FaultKind};
-use crate::incremental::{BoundMemo, BoundMemoEntry, Interner};
+use crate::incremental::Interner;
 use pdt_catalog::{ColumnId, TableId};
 use pdt_opt::{IndexUsage, UsageKind};
 use pdt_physical::{Configuration, Index};
@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use std::time::Duration;
 
-const VERSION: i64 = 5;
+const VERSION: i64 = 6;
 const KIND: &str = "pdtune-checkpoint";
 
 /// Serialized mid-session state; see the module docs for the model.
@@ -68,12 +68,6 @@ pub struct Checkpoint {
     pub budget_skipped: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    /// Bound-memo probe counters at capture time. The memo contents
-    /// replay-invariantly regenerate hit/miss *keys*, but the restored
-    /// memo flips replayed misses into hits, so the live counters must
-    /// be restored (like the cost-cache counters above).
-    pub bound_memo_hits: u64,
-    pub bound_memo_misses: u64,
     /// Derived-costing counters at capture time (avoided calls, plan
     /// cache hits/misses/repricings). Restored at go-live like the
     /// cache counters: the silent replay serves everything from the
@@ -87,10 +81,6 @@ pub struct Checkpoint {
     pub faults: Vec<FaultEvent>,
     /// Every cost-cache entry, sorted by `(query, signature)`.
     pub cache: Vec<((usize, u128), CacheEntry)>,
-    /// Every bound-memo entry, sorted by `(transformation signature,
-    /// configuration signature)`. Like the cost cache, persisting the
-    /// memo turns every replayed bound computation into a pure lookup.
-    pub bound_memo: Vec<((u64, u128), BoundMemoEntry)>,
     /// The structure interner's `index → signature` table, sorted by
     /// index. Signatures are content-addressed, so replay would
     /// regenerate the same table; restoring it just skips the hashing.
@@ -133,38 +123,15 @@ impl Checkpoint {
     }
 
     /// Rebuild the what-if cost cache (counters start at zero; the
-    /// session restores them when it goes live). Checkpoints carry only
-    /// portable `(query, signature)` keys, so the same dump restores
-    /// into either backend: `flat` selects the id-addressed store sized
-    /// for `workers` ([`CostCache::flat`]), which re-interns the keys
-    /// on insert.
-    pub fn restore_cache(&self, flat: bool, workers: usize) -> CostCache {
-        let cache = if flat {
-            CostCache::flat(workers)
-        } else {
-            CostCache::new()
-        };
+    /// session restores them when it goes live) in the id-addressed
+    /// flat store sized for `workers` ([`CostCache::flat`]), which
+    /// re-interns the portable `(query, signature)` keys on insert.
+    pub fn restore_cache(&self, workers: usize) -> CostCache {
+        let cache = CostCache::flat(workers);
         for ((q, sig), entry) in &self.cache {
             cache.insert(*q, *sig, entry.clone());
         }
         cache
-    }
-
-    /// Rebuild the bound memo (counters start at zero; the session
-    /// restores them when it goes live). Like [`Checkpoint::restore_cache`],
-    /// the portable signature keys restore into either backend; the
-    /// flat store assigns fresh session-local configuration ids in dump
-    /// order.
-    pub fn restore_memo(&self, flat: bool, workers: usize) -> BoundMemo {
-        let memo = if flat {
-            BoundMemo::flat(workers)
-        } else {
-            BoundMemo::new()
-        };
-        for ((t_sig, cfg_sig), entry) in &self.bound_memo {
-            memo.insert(*t_sig, *cfg_sig, *entry);
-        }
-        memo
     }
 
     /// Rebuild the structure interner.
@@ -202,8 +169,6 @@ impl Checkpoint {
             ("budget_skipped".into(), hex(self.budget_skipped)),
             ("cache_hits".into(), hex(self.cache_hits)),
             ("cache_misses".into(), hex(self.cache_misses)),
-            ("bound_memo_hits".into(), hex(self.bound_memo_hits)),
-            ("bound_memo_misses".into(), hex(self.bound_memo_misses)),
             (
                 "derived".into(),
                 Json::Obj(vec![
@@ -246,23 +211,6 @@ impl Checkpoint {
                                 ("relevant".into(), sigs128_json(&e.relevant)),
                                 ("footprint".into(), sigs128_json(&e.footprint)),
                                 ("pinned".into(), sigs128_json(&e.pinned)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "bound_memo".into(),
-                Json::Arr(
-                    self.bound_memo
-                        .iter()
-                        .map(|((t, c), e)| {
-                            Json::Obj(vec![
-                                ("t".into(), hex(*t)),
-                                ("c".into(), hex128(*c)),
-                                ("applies".into(), Json::Bool(e.applies)),
-                                ("bound".into(), Json::Num(e.bound)),
-                                ("delta_s".into(), Json::Num(e.delta_s)),
                             ])
                         })
                         .collect(),
@@ -362,21 +310,6 @@ fn parse_checkpoint(s: &str) -> Result<Checkpoint, String> {
             ))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let bound_memo = get(&doc, "bound_memo")?
-        .as_arr()
-        .ok_or("bound_memo must be an array")?
-        .iter()
-        .map(|e| {
-            Ok((
-                (unhex(get(e, "t")?)?, unhex128(get(e, "c")?)?),
-                BoundMemoEntry {
-                    applies: bool_(get(e, "applies")?)?,
-                    bound: f64n(get(e, "bound")?)?,
-                    delta_s: f64n(get(e, "delta_s")?)?,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
     let interner = get(&doc, "interner")?
         .as_arr()
         .ok_or("interner must be an array")?
@@ -416,14 +349,11 @@ fn parse_checkpoint(s: &str) -> Result<Checkpoint, String> {
         budget_skipped: unhex(get(&doc, "budget_skipped")?)?,
         cache_hits: unhex(get(&doc, "cache_hits")?)?,
         cache_misses: unhex(get(&doc, "cache_misses")?)?,
-        bound_memo_hits: unhex(get(&doc, "bound_memo_hits")?)?,
-        bound_memo_misses: unhex(get(&doc, "bound_memo_misses")?)?,
         derived,
         best,
         frontier_len: uint(get(&doc, "frontier_len")?)? as usize,
         faults,
         cache,
-        bound_memo,
         interner,
         relevance,
         trace,
@@ -985,8 +915,6 @@ mod tests {
             budget_skipped: 27,
             cache_hits: 10,
             cache_misses: 5,
-            bound_memo_hits: 6,
-            bound_memo_misses: 11,
             derived: DerivedTally {
                 avoided: 9,
                 plan_hits: 4,
@@ -1020,17 +948,6 @@ mod tests {
                         0x42,
                     ),
                 ),
-            ],
-            bound_memo: vec![
-                (
-                    (0x11, 0x22 << 80),
-                    BoundMemoEntry {
-                        applies: true,
-                        bound: 45.5,
-                        delta_s: -128.0,
-                    },
-                ),
-                ((0x33, 0x22), BoundMemoEntry::inapplicable()),
             ],
             interner: vec![(sample_usage().index, 0xFEED_FACE_CAFE_F00D)],
             relevance: vec![
@@ -1091,12 +1008,6 @@ mod tests {
         assert!(back.cache[1].1.relevant.is_empty());
         assert_eq!(back.derived, ck.derived);
         assert_eq!(back.relevance, ck.relevance);
-        assert_eq!((back.bound_memo_hits, back.bound_memo_misses), (6, 11));
-        assert_eq!(back.bound_memo[0].1.bound, 45.5);
-        assert!(
-            back.bound_memo[1].1.bound.is_nan(),
-            "inapplicable entry survives via null"
-        );
         assert_eq!(
             back.interner[0],
             (sample_usage().index, 0xFEED_FACE_CAFE_F00D)
@@ -1120,39 +1031,23 @@ mod tests {
     #[test]
     fn restore_cache_rebuilds_entries() {
         let ck = sample_checkpoint();
-        for flat in [false, true] {
-            let cache = ck.restore_cache(flat, 2);
-            assert_eq!(cache.is_flat(), flat);
-            assert_eq!(cache.len(), 2);
-            assert_eq!(cache.lookup(0, 17 << 70).unwrap().cost, 9.75);
-            assert!(cache.lookup(1, 99).unwrap().cost.is_nan());
-            assert_eq!((cache.hits(), cache.misses()), (0, 0));
-            // The restored store snapshots back to the identical dump,
-            // whichever backend holds it.
-            let snap = cache.snapshot();
-            assert_eq!(
-                snap.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-                ck.cache.iter().map(|(k, _)| *k).collect::<Vec<_>>()
-            );
-        }
+        let cache = ck.restore_cache(2);
+        assert!(cache.is_flat());
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookup(0, 17 << 70).unwrap().cost, 9.75);
+        assert!(cache.lookup(1, 99).unwrap().cost.is_nan());
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // The restored store snapshots back to the identical dump.
+        let snap = cache.snapshot();
+        assert_eq!(
+            snap.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            ck.cache.iter().map(|(k, _)| *k).collect::<Vec<_>>()
+        );
     }
 
     #[test]
-    fn restore_memo_and_interner_rebuild_entries() {
+    fn restore_interner_rebuilds_entries() {
         let ck = sample_checkpoint();
-        for flat in [false, true] {
-            let memo = ck.restore_memo(flat, 2);
-            assert_eq!(memo.is_flat(), flat);
-            assert_eq!(memo.len(), 2);
-            assert_eq!(memo.lookup(0x11, 0x22 << 80).unwrap().bound, 45.5);
-            let na = memo.lookup(0x33, 0x22).unwrap();
-            assert!(!na.applies && na.bound.is_nan());
-            assert_eq!((memo.hits(), memo.misses()), (0, 0));
-            assert_eq!(
-                memo.snapshot().iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-                ck.bound_memo.iter().map(|(k, _)| *k).collect::<Vec<_>>()
-            );
-        }
         let interner = ck.restore_interner();
         assert_eq!(interner.len(), 1);
         assert_eq!(interner.snapshot(), ck.interner);

@@ -104,30 +104,16 @@ pub struct EvalCtx<'c> {
     /// relevant-subset signatures and keyed misses may be served by
     /// plan reuse ([`CostCache::plan_probe`]); when absent, keys fall
     /// back to the coarse per-table projection and no derived serving
-    /// happens.
+    /// happens. Derived serves skip the real optimizer invocation;
+    /// debug builds cross-validate every one against a real call.
     pub relevance: Option<&'c RelevanceTable>,
-    /// Whether derived serves (beyond-coarse keyed hits and plan-reuse
-    /// answers) may skip the real optimizer invocation. With `false`
-    /// (the `--no-derived-costs` reference mode) every derived serve is
-    /// still *accounted* identically — same keys, probes, counters,
-    /// cache contents — but is backed by a fresh optimizer call whose
-    /// answer is used, so any unsoundness in the relevance derivation
-    /// would surface as a byte-level divergence between the two modes.
-    /// Debug builds additionally cross-validate every derived serve in
-    /// both modes.
-    pub derived: bool,
-    /// Flat hot path: build one [`FlatProjector`] per evaluation
-    /// (per-structure signatures hoisted out of the per-query loop)
-    /// instead of re-deriving the projection from the configuration for
-    /// every entry. Projections are bitwise-identical either way.
-    pub flat: bool,
     /// Daemon-wide shared what-if store: a third probe tier after the
     /// per-session invocation store, consulted (and fed) only on the
-    /// real-invocation path and only in derived mode. Serves carry
-    /// bitwise-identical answers keyed by session-portable content
-    /// signatures ([`crate::shared`]), so — like the invocation store —
-    /// the tier is invisible to every logical counter and to the trace;
-    /// debug builds cross-validate each serve with a real call. `None`
+    /// real-invocation path. Serves carry bitwise-identical answers
+    /// keyed by session-portable content signatures
+    /// ([`crate::shared`]), so — like the invocation store — the tier
+    /// is invisible to every logical counter and to the trace; debug
+    /// builds cross-validate each serve with a real call. `None`
     /// outside serve mode.
     pub shared: Option<crate::shared::SharedCtx<'c>>,
 }
@@ -311,12 +297,9 @@ fn evaluate_entries(
     let schema = PhysicalSchema::new(db, config);
     let model = opt.opts.cost;
     let entries = &workload.entries;
-    // Flat hot path: hoist per-structure signature work out of the
-    // per-entry loop; workers share the projector by reference.
-    let projector = ctx
-        .flat
-        .then(|| ctx.relevance.map(|rt| FlatProjector::new(rt, config)))
-        .flatten();
+    // Hoist per-structure signature work out of the per-entry loop;
+    // workers share the projector by reference.
+    let projector = ctx.relevance.map(|rt| FlatProjector::new(rt, config));
 
     let compute = |i: usize| -> EntryEval {
         let entry = &entries[i];
@@ -338,10 +321,7 @@ fn evaluate_entries(
                     }
                     // With a relevance table, key by the relevant-subset
                     // signature; otherwise by the coarse per-table one.
-                    let proj = match &projector {
-                        Some(fp) => fp.project(i),
-                        None => ctx.relevance.and_then(|rt| rt.projection(i, config)),
-                    };
+                    let proj = projector.as_ref().and_then(|fp| fp.project(i));
                     let cached = ctx.cache.map(|cache| {
                         let sig = match &proj {
                             Some(p) => p.sig,
@@ -365,8 +345,6 @@ fn evaluate_entries(
                     };
                     // Serve from the keyed entry, or — on a keyed miss
                     // with relevance — from a surviving cached plan.
-                    // Classification is identical in both derived
-                    // modes; only the backing invocation differs.
                     let mut serving: Option<CacheEntry> = None;
                     if let Some(e) = looked_up {
                         hit = true;
@@ -402,18 +380,14 @@ fn evaluate_entries(
                     }
                     match serving {
                         Some(e) => {
-                            let mut cost = e.cost;
-                            let mut usages = e.usages.clone();
-                            // Cross-validate derived serves: reference
-                            // mode (and every debug build) re-asks the
-                            // optimizer. The invocation is validation
-                            // overhead, not a logical call — `calls`
-                            // stays 0 so counters agree across modes.
-                            // Reference mode then *uses* the fresh
-                            // answer, so an unsound relevance
-                            // derivation would surface as byte-level
-                            // divergence between the two modes.
-                            if avoided && (!ctx.derived || cfg!(debug_assertions)) {
+                            let cost = e.cost;
+                            let usages = e.usages.clone();
+                            // Debug builds cross-validate every derived
+                            // serve against a real optimizer call. The
+                            // invocation is validation overhead, not a
+                            // logical call: `calls` stays 0.
+                            #[cfg(debug_assertions)]
+                            if avoided {
                                 let plan = opt.optimize(config, q);
                                 debug_assert_eq!(
                                     plan.cost.to_bits(),
@@ -425,10 +399,6 @@ fn evaluate_entries(
                                     usages.as_ref(),
                                     "derived plan diverged from the optimizer for query {i}"
                                 );
-                                if !ctx.derived {
-                                    cost = plan.cost;
-                                    usages = plan.index_usages.into();
-                                }
                             }
                             // A plan-reuse serve memoizes itself at the
                             // probe's key, turning the next identical
@@ -456,50 +426,38 @@ fn evaluate_entries(
                             (cost, usages)
                         }
                         None => {
-                            // Derived mode consults the invocation
-                            // store before paying a real plan search: a
-                            // prior invocation for this exact key —
-                            // possibly from a shortcut-aborted
-                            // evaluation whose cache inserts were never
-                            // committed — already holds the bitwise-
-                            // identical answer, and failing that, a
-                            // stored plan that provably survives under
-                            // this projection serves re-priced. Both
-                            // are invisible to every counter (this stays
-                            // a plain logical miss); debug builds re-
-                            // invoke and check, and the reference
-                            // engine always re-invokes.
-                            let stored = if ctx.derived {
-                                cached.as_ref().and_then(|(c, sig)| {
-                                    c.invocation_lookup(i, *sig)
-                                        .or_else(|| {
-                                            let p = proj.as_ref()?;
-                                            let e = c.invocation_plan_probe(i, p)?;
-                                            let cost =
-                                                pdt_opt::reprice_plan(e.cost, &e.usages, config)?;
-                                            Some(CacheEntry { cost, ..e })
-                                        })
-                                        // Third tier: the daemon-wide
-                                        // shared store, addressed by
-                                        // session-portable content
-                                        // signatures. Another tenant's
-                                        // answer is bitwise-identical
-                                        // by key purity, so this serve
-                                        // flows through the same
-                                        // cross-validated `stored`
-                                        // path below.
-                                        .or_else(|| {
-                                            ctx.shared.as_ref()?.probe(
-                                                i,
-                                                *sig,
-                                                proj.as_ref(),
-                                                config,
-                                            )
-                                        })
-                                })
-                            } else {
-                                None
-                            };
+                            // Consult the invocation store before
+                            // paying a real plan search: a prior
+                            // invocation for this exact key — possibly
+                            // from a shortcut-aborted evaluation whose
+                            // cache inserts were never committed —
+                            // already holds the bitwise-identical
+                            // answer, and failing that, a stored plan
+                            // that provably survives under this
+                            // projection serves re-priced. Both are
+                            // invisible to every counter (this stays a
+                            // plain logical miss); debug builds
+                            // re-invoke and check.
+                            let stored = cached.as_ref().and_then(|(c, sig)| {
+                                c.invocation_lookup(i, *sig)
+                                    .or_else(|| {
+                                        let p = proj.as_ref()?;
+                                        let e = c.invocation_plan_probe(i, p)?;
+                                        let cost =
+                                            pdt_opt::reprice_plan(e.cost, &e.usages, config)?;
+                                        Some(CacheEntry { cost, ..e })
+                                    })
+                                    // Third tier: the daemon-wide shared
+                                    // store, addressed by session-portable
+                                    // content signatures. Another tenant's
+                                    // answer is bitwise-identical by key
+                                    // purity, so this serve flows through
+                                    // the same cross-validated `stored`
+                                    // path below.
+                                    .or_else(|| {
+                                        ctx.shared.as_ref()?.probe(i, *sig, proj.as_ref(), config)
+                                    })
+                            });
                             let (plan_cost, usages): (f64, Arc<[IndexUsage]>) = match stored {
                                 Some(e) => {
                                     #[cfg(debug_assertions)]
@@ -546,17 +504,15 @@ fn evaluate_entries(
                                     }
                                     None => CacheEntry::plain(plan_cost, usages.clone(), sig),
                                 };
-                                if ctx.derived {
-                                    if let Some((c, _)) = cached.as_ref() {
-                                        c.invocation_insert(i, sig, true_entry.clone());
-                                    }
-                                    // Publish the real answer under its
-                                    // portable key so other tenants
-                                    // (and this daemon's next session)
-                                    // can serve it.
-                                    if let Some(s) = ctx.shared.as_ref() {
-                                        s.record(i, sig, &true_entry);
-                                    }
+                                if let Some((c, _)) = cached.as_ref() {
+                                    c.invocation_insert(i, sig, true_entry.clone());
+                                }
+                                // Publish the real answer under its
+                                // portable key so other tenants (and
+                                // this daemon's next session) can serve
+                                // it.
+                                if let Some(s) = ctx.shared.as_ref() {
+                                    s.record(i, sig, &true_entry);
                                 }
                                 // Injected poisoning: write a NaN cost
                                 // so a later lookup must repair it (the
@@ -1091,26 +1047,23 @@ mod tests {
         let mut with_irrelevant = base.clone();
         with_irrelevant.add_index(Index::new(t.id, [t.column_id(2)], []));
 
-        for derived in [true, false] {
-            let cache = CostCache::new();
-            let ctx = EvalCtx {
-                threads: 1,
-                cache: Some(&cache),
-                relevance: Some(&rt),
-                derived,
-                ..EvalCtx::default()
-            };
-            let e0 = evaluate_full_ctx(&db, &opt, &base, &w, ctx);
-            assert_eq!(e0.optimizer_calls, 1);
-            // Adding the irrelevant index leaves the relevant subset —
-            // and the cache key — unchanged: a hit the coarse-keyed
-            // engine would have missed, in both modes.
-            let e1 = evaluate_full_ctx(&db, &opt, &with_irrelevant, &w, ctx);
-            assert_eq!(e1.optimizer_calls, 0, "derived={derived}");
-            assert_eq!(e1.total_cost.to_bits(), e0.total_cost.to_bits());
-            assert_eq!((cache.hits(), cache.misses()), (1, 1));
-            assert_eq!(cache.avoided(), 1);
-        }
+        let cache = CostCache::new();
+        let ctx = EvalCtx {
+            threads: 1,
+            cache: Some(&cache),
+            relevance: Some(&rt),
+            ..EvalCtx::default()
+        };
+        let e0 = evaluate_full_ctx(&db, &opt, &base, &w, ctx);
+        assert_eq!(e0.optimizer_calls, 1);
+        // Adding the irrelevant index leaves the relevant subset —
+        // and the cache key — unchanged: a hit the coarse-keyed
+        // engine would have missed.
+        let e1 = evaluate_full_ctx(&db, &opt, &with_irrelevant, &w, ctx);
+        assert_eq!(e1.optimizer_calls, 0);
+        assert_eq!(e1.total_cost.to_bits(), e0.total_cost.to_bits());
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(cache.avoided(), 1);
     }
 
     #[test]
@@ -1130,35 +1083,32 @@ mod tests {
         let mut big = small.clone();
         big.add_index(extra);
 
-        for derived in [true, false] {
-            let cache = CostCache::new();
-            let ctx = EvalCtx {
-                threads: 1,
-                cache: Some(&cache),
-                relevance: Some(&rt),
-                derived,
-                ..EvalCtx::default()
-            };
-            let e_big = evaluate_full_ctx(&db, &opt, &big, &w, ctx);
-            assert_eq!(e_big.optimizer_calls, 1);
-            // `small` shrinks the relevant subset without touching the
-            // cached plan's footprint: served by plan reuse, no call.
-            let e_small = evaluate_full_ctx(&db, &opt, &small, &w, ctx);
-            assert_eq!(e_small.optimizer_calls, 0, "derived={derived}");
-            assert_eq!(cache.plan_hits(), 1);
-            assert_eq!(cache.repriced(), 1);
-            assert_eq!(cache.avoided(), 1);
-            // The reused answer is bit-identical to a fresh one.
-            let fresh = evaluate_full(&db, &opt, &small, &w);
-            assert_eq!(e_small.total_cost.to_bits(), fresh.total_cost.to_bits());
-            // The serve memoized itself at the probe's key: probing
-            // again is a keyed (non-derived) hit, not another reuse.
-            let e_again = evaluate_full_ctx(&db, &opt, &small, &w, ctx);
-            assert_eq!(e_again.optimizer_calls, 0);
-            assert_eq!(cache.plan_hits(), 1);
-            assert_eq!(cache.avoided(), 1);
-            assert_eq!(e_again.total_cost.to_bits(), e_small.total_cost.to_bits());
-        }
+        let cache = CostCache::new();
+        let ctx = EvalCtx {
+            threads: 1,
+            cache: Some(&cache),
+            relevance: Some(&rt),
+            ..EvalCtx::default()
+        };
+        let e_big = evaluate_full_ctx(&db, &opt, &big, &w, ctx);
+        assert_eq!(e_big.optimizer_calls, 1);
+        // `small` shrinks the relevant subset without touching the
+        // cached plan's footprint: served by plan reuse, no call.
+        let e_small = evaluate_full_ctx(&db, &opt, &small, &w, ctx);
+        assert_eq!(e_small.optimizer_calls, 0);
+        assert_eq!(cache.plan_hits(), 1);
+        assert_eq!(cache.repriced(), 1);
+        assert_eq!(cache.avoided(), 1);
+        // The reused answer is bit-identical to a fresh one.
+        let fresh = evaluate_full(&db, &opt, &small, &w);
+        assert_eq!(e_small.total_cost.to_bits(), fresh.total_cost.to_bits());
+        // The serve memoized itself at the probe's key: probing
+        // again is a keyed (non-derived) hit, not another reuse.
+        let e_again = evaluate_full_ctx(&db, &opt, &small, &w, ctx);
+        assert_eq!(e_again.optimizer_calls, 0);
+        assert_eq!(cache.plan_hits(), 1);
+        assert_eq!(cache.avoided(), 1);
+        assert_eq!(e_again.total_cost.to_bits(), e_small.total_cost.to_bits());
     }
 
     #[test]

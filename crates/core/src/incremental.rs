@@ -1,38 +1,16 @@
-//! Incremental candidate engine support: structure interning and the
-//! §3.3.2 bound memo.
+//! Incremental candidate engine support: structure interning.
 //!
-//! Both pieces exist to make per-node candidate scoring cheap without
-//! changing a single output bit:
-//!
-//! - [`Interner`] hash-conses [`Index`] descriptors into precomputed
-//!   64-bit signatures so candidate keys, `tried`-set membership, and
-//!   memo keys are O(1) integer operations instead of re-hashing column
-//!   vectors at every node.
-//! - [`BoundMemo`] caches [`crate::bound::cost_upper_bound`] results
-//!   keyed by `(transformation signature, configuration signature)` —
-//!   the same sharded-`RwLock` pattern as [`crate::cache::CostCache`].
-//!   The bound is a pure function of `(transformation, configuration)`
-//!   (the workload, database, and cost model are fixed for a session),
-//!   so equal keys imply bit-equal results and a hit can skip the
-//!   apply + bound computation entirely.
-//!
-//! Determinism contract: workers may insert into the memo directly
-//! because every scoring batch prices *distinct* transformations
-//! against one fixed configuration — no two workers ever race on the
-//! same key with different values. Hit/miss counters are accumulated
-//! by the driver thread in input order via [`BoundMemo::record_traced`]
-//! (commit-on-success, like the cost cache), so traces and reports are
-//! byte-identical for every `--threads` value.
+//! [`Interner`] hash-conses [`Index`] descriptors into precomputed
+//! 64-bit signatures so candidate keys and `tried`-set membership are
+//! O(1) integer operations instead of re-hashing column vectors at
+//! every node.
 
-use crate::arena::{shard_count, CachePadded, ProbeTable};
 use crate::transform::Transformation;
-use parking_lot::RwLock;
 use pdt_physical::Index;
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hash-consed signatures for physical structures and transformations.
 ///
@@ -41,20 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// hash of the descriptor itself, never an insertion counter), so a
 /// resumed session regenerates the identical mapping by replaying the
 /// same enumeration — the checkpointed snapshot is belt and braces.
-///
-/// Alongside each signature the interner assigns a dense `u32` id at
-/// creation time (first-seen order). Ids are strictly session-local
-/// handles into flat tables: they never enter signatures, traces, or
-/// checkpoints ([`Interner::snapshot`] serializes `index → signature`
-/// only), and a resumed session re-assigns them in whatever order it
-/// re-encounters the structures — which is why nothing downstream is
-/// allowed to depend on their values, only on id-equality within one
-/// session.
 #[derive(Default)]
 pub struct Interner {
-    indexes: RefCell<HashMap<Index, (u64, u32)>>,
-    /// Transformation signature → dense id, assigned at first intern.
-    transforms: RefCell<HashMap<u64, u32>>,
+    indexes: RefCell<HashMap<Index, u64>>,
 }
 
 impl Interner {
@@ -64,43 +31,18 @@ impl Interner {
 
     /// Signature of an index descriptor, computed once per distinct value.
     pub fn index_sig(&self, index: &Index) -> u64 {
-        self.index_entry(index).0
-    }
-
-    /// Session-local dense id of an index descriptor.
-    pub fn index_id(&self, index: &Index) -> u32 {
-        self.index_entry(index).1
-    }
-
-    /// `(signature, dense id)` of an index descriptor; both are
-    /// assigned together on first sight.
-    pub fn index_entry(&self, index: &Index) -> (u64, u32) {
-        if let Some(&entry) = self.indexes.borrow().get(index) {
-            return entry;
+        if let Some(&sig) = self.indexes.borrow().get(index) {
+            return sig;
         }
         let mut h = DefaultHasher::new();
         index.hash(&mut h);
         let sig = h.finish();
-        let mut map = self.indexes.borrow_mut();
-        let id = map.len() as u32;
-        map.insert(index.clone(), (sig, id));
-        (sig, id)
-    }
-
-    /// Session-local dense id of a transformation signature, assigned
-    /// at first sight. Flat tables index by this instead of re-hashing
-    /// the 64-bit signature through SipHash.
-    pub fn transform_id(&self, sig: u64) -> u32 {
-        let mut map = self.transforms.borrow_mut();
-        let next = map.len() as u32;
-        *map.entry(sig).or_insert(next)
+        self.indexes.borrow_mut().insert(index.clone(), sig);
+        sig
     }
 
     /// Signature of a transformation: a variant tag plus the interned
-    /// signatures of its components. Collisions would affect the
-    /// incremental and from-scratch engines identically (both key the
-    /// same caches by the same value), so byte-identity is preserved
-    /// even in that astronomically unlikely case.
+    /// signatures of its components.
     pub fn transform_sig(&self, t: &Transformation) -> u64 {
         let mut h = DefaultHasher::new();
         match t {
@@ -149,289 +91,23 @@ impl Interner {
     }
 
     /// Deterministic dump sorted by index descriptor (its `Ord`).
-    /// Signatures only — dense ids are session-local and never
-    /// serialized.
     pub fn snapshot(&self) -> Vec<(Index, u64)> {
         let mut out: Vec<(Index, u64)> = self
             .indexes
             .borrow()
             .iter()
-            .map(|(i, &(s, _))| (i.clone(), s))
+            .map(|(i, &s)| (i.clone(), s))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
-    /// Rebuild from a checkpoint dump. Ids are re-assigned in dump
-    /// order; nothing observes their values, only same-session
-    /// id-equality, so the assignment order is free.
+    /// Rebuild from a checkpoint dump.
     pub fn restore(&self, entries: Vec<(Index, u64)>) {
         let mut map = self.indexes.borrow_mut();
         for (index, sig) in entries {
-            let id = map.len() as u32;
-            map.entry(index).or_insert((sig, id));
+            map.entry(index).or_insert(sig);
         }
-    }
-}
-
-/// One memoized §3.3.2 bound computation.
-///
-/// `applies == false` records that `apply()` returned `None` for this
-/// `(transformation, configuration)` pair; `bound`/`delta_s` are NaN
-/// in that case (serialized as `null` in checkpoints).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundMemoEntry {
-    pub applies: bool,
-    pub bound: f64,
-    pub delta_s: f64,
-}
-
-impl BoundMemoEntry {
-    pub fn inapplicable() -> Self {
-        Self {
-            applies: false,
-            bound: f64::NAN,
-            delta_s: f64::NAN,
-        }
-    }
-
-    /// Bitwise equality (NaN-safe) — the invariant the reference engine
-    /// revalidates on every hit in debug builds.
-    pub fn bits_eq(&self, other: &Self) -> bool {
-        self.applies == other.applies
-            && self.bound.to_bits() == other.bound.to_bits()
-            && self.delta_s.to_bits() == other.delta_s.to_bits()
-    }
-}
-
-const SHARDS: usize = 16;
-
-/// How scoring code addresses the configuration side of a memo key:
-/// the reference engine carries the portable 128-bit signature; the
-/// flat engine resolves it to a dense session-local id once per
-/// scoring batch ([`BoundMemo::cfg_key`]) so workers probe flat tables
-/// without hashing a `(u64, u128)` tuple per candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoCfg {
-    Sig(u128),
-    Id(u32),
-}
-
-/// Dense-id keyed flat store: configuration signatures intern to dense
-/// ids, and per-shard open-addressed [`ProbeTable`]s are probed by the
-/// transformation signature's own bits. Shard selection uses the high
-/// hash bits, the in-table probe the low bits, so shard-mates do not
-/// cluster inside their table.
-struct FlatMemo {
-    cfg_ids: RwLock<HashMap<u128, u32>>,
-    /// id → signature, so snapshots serialize portable keys.
-    cfg_sigs: RwLock<Vec<u128>>,
-    shards: Vec<MemoShard>,
-}
-
-/// One cache-line-padded shard of the flat bound memo.
-type MemoShard = CachePadded<RwLock<ProbeTable<(u64, u32), BoundMemoEntry>>>;
-
-impl FlatMemo {
-    fn shard(&self, key: (u64, u32)) -> &RwLock<ProbeTable<(u64, u32), BoundMemoEntry>> {
-        use crate::arena::ProbeKey;
-        let h = key.probe_hash();
-        &self.shards[(h >> 58) as usize & (self.shards.len() - 1)]
-    }
-}
-
-/// Sharded memo of §3.3.2 bound computations, keyed by
-/// `(transformation signature, configuration signature)`. The
-/// configuration side is the 128-bit [`Configuration::signature128`]
-/// (`pdt_physical`), matching the widened what-if cache keys.
-///
-/// Two interchangeable backends hold the entries: the hash-keyed
-/// reference store ([`BoundMemo::new`]) and the flat id-addressed
-/// store ([`BoundMemo::flat`]), which re-keys by `(transformation
-/// signature, dense configuration id)` probed through open-addressed
-/// `Vec`-backed tables. Both store identical entries under logically
-/// identical keys; [`BoundMemo::snapshot`] emits the identical sorted
-/// portable dump either way, so checkpoints are byte-identical across
-/// backends.
-pub struct BoundMemo {
-    shards: Vec<RwLock<HashMap<(u64, u128), BoundMemoEntry>>>,
-    flat: Option<FlatMemo>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for BoundMemo {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BoundMemo {
-    pub fn new() -> Self {
-        Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            flat: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// A memo backed by the flat id-addressed store, sharded for
-    /// `workers` concurrent scorers.
-    pub fn flat(workers: usize) -> Self {
-        Self {
-            shards: Vec::new(),
-            flat: Some(FlatMemo {
-                cfg_ids: RwLock::new(HashMap::new()),
-                cfg_sigs: RwLock::new(Vec::new()),
-                shards: (0..shard_count(workers))
-                    .map(|_| CachePadded(RwLock::new(ProbeTable::new())))
-                    .collect(),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    pub fn is_flat(&self) -> bool {
-        self.flat.is_some()
-    }
-
-    fn shard(&self, t_sig: u64, cfg_sig: u128) -> &RwLock<HashMap<(u64, u128), BoundMemoEntry>> {
-        let folded = (cfg_sig as u64) ^ ((cfg_sig >> 64) as u64).rotate_left(32);
-        let h = t_sig ^ folded.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 59) as usize % SHARDS]
-    }
-
-    /// Resolve the configuration side of the key for this backend:
-    /// called once per scoring batch on the driver, so the per-probe
-    /// work inside workers is id arithmetic only.
-    pub fn cfg_key(&self, cfg_sig: u128) -> MemoCfg {
-        match &self.flat {
-            None => MemoCfg::Sig(cfg_sig),
-            Some(f) => {
-                if let Some(&id) = f.cfg_ids.read().get(&cfg_sig) {
-                    return MemoCfg::Id(id);
-                }
-                let mut ids = f.cfg_ids.write();
-                let mut sigs = f.cfg_sigs.write();
-                let next = sigs.len() as u32;
-                let id = *ids.entry(cfg_sig).or_insert_with(|| {
-                    sigs.push(cfg_sig);
-                    next
-                });
-                MemoCfg::Id(id)
-            }
-        }
-    }
-
-    pub fn lookup_keyed(&self, t_sig: u64, cfg: MemoCfg) -> Option<BoundMemoEntry> {
-        match (cfg, &self.flat) {
-            (MemoCfg::Sig(sig), None) => self.shard(t_sig, sig).read().get(&(t_sig, sig)).copied(),
-            (MemoCfg::Id(id), Some(f)) => f.shard((t_sig, id)).read().get((t_sig, id)).copied(),
-            (MemoCfg::Sig(sig), Some(_)) => {
-                let MemoCfg::Id(id) = self.cfg_key(sig) else {
-                    unreachable!("flat backend always resolves ids")
-                };
-                self.lookup_keyed(t_sig, MemoCfg::Id(id))
-            }
-            (MemoCfg::Id(_), None) => {
-                unreachable!("id-form keys exist only with the flat backend")
-            }
-        }
-    }
-
-    pub fn insert_keyed(&self, t_sig: u64, cfg: MemoCfg, entry: BoundMemoEntry) {
-        match (cfg, &self.flat) {
-            (MemoCfg::Sig(sig), None) => {
-                self.shard(t_sig, sig).write().insert((t_sig, sig), entry);
-            }
-            (MemoCfg::Id(id), Some(f)) => {
-                f.shard((t_sig, id)).write().insert((t_sig, id), entry);
-            }
-            (MemoCfg::Sig(sig), Some(_)) => {
-                let key = self.cfg_key(sig);
-                self.insert_keyed(t_sig, key, entry);
-            }
-            (MemoCfg::Id(_), None) => {
-                unreachable!("id-form keys exist only with the flat backend")
-            }
-        }
-    }
-
-    pub fn lookup(&self, t_sig: u64, cfg_sig: u128) -> Option<BoundMemoEntry> {
-        self.lookup_keyed(t_sig, self.cfg_key(cfg_sig))
-    }
-
-    pub fn insert(&self, t_sig: u64, cfg_sig: u128, entry: BoundMemoEntry) {
-        self.insert_keyed(t_sig, self.cfg_key(cfg_sig), entry);
-    }
-
-    /// Accumulate hit/miss counts. Counters move **only** through this
-    /// method (driver thread, input order) so they are thread-count
-    /// invariant; no trace *event* is emitted — the memo contributes
-    /// counters to the trace summary only, keeping the JSONL event
-    /// stream untouched.
-    pub fn record(&self, hits: u64, misses: u64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// [`Self::record`] plus trace counter increments.
-    pub fn record_traced(&self, hits: u64, misses: u64, tracer: Option<&pdt_trace::Tracer>) {
-        self.record(hits, misses);
-        pdt_trace::incr(tracer, "bound.memo.hits", hits);
-        pdt_trace::incr(tracer, "bound.memo.misses", misses);
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Overwrite the counters (checkpoint go-live: replay inflates the
-    /// hit count because originally-missed entries are pre-warmed, so
-    /// the restored values are authoritative).
-    pub fn set_counters(&self, hits: u64, misses: u64) {
-        self.hits.store(hits, Ordering::Relaxed);
-        self.misses.store(misses, Ordering::Relaxed);
-    }
-
-    pub fn len(&self) -> usize {
-        if let Some(f) = &self.flat {
-            return f.shards.iter().map(|s| s.read().len()).sum();
-        }
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Deterministic dump sorted by key. The flat backend maps dense
-    /// configuration ids back to their portable 128-bit signatures, so
-    /// both backends serialize identical bytes.
-    pub fn snapshot(&self) -> Vec<((u64, u128), BoundMemoEntry)> {
-        let mut out: Vec<((u64, u128), BoundMemoEntry)> = Vec::new();
-        if let Some(f) = &self.flat {
-            let sigs = f.cfg_sigs.read();
-            for shard in &f.shards {
-                for ((t_sig, cfg_id), v) in shard.read().iter() {
-                    out.push(((*t_sig, sigs[*cfg_id as usize]), *v));
-                }
-            }
-        } else {
-            for shard in &self.shards {
-                for (k, v) in shard.read().iter() {
-                    out.push((*k, *v));
-                }
-            }
-        }
-        out.sort_by_key(|(k, _)| *k);
-        out
     }
 }
 
@@ -491,130 +167,5 @@ mod tests {
         for (c, sig) in sigs.iter().enumerate() {
             assert_eq!(restored.index_sig(&ix(1, c as u16)), *sig);
         }
-    }
-
-    #[test]
-    fn memo_round_trips_entries() {
-        let m = BoundMemo::new();
-        assert!(m.lookup(1, 2).is_none());
-        let e = BoundMemoEntry {
-            applies: true,
-            bound: 123.5,
-            delta_s: -4.0,
-        };
-        m.insert(1, 2, e);
-        assert_eq!(m.lookup(1, 2), Some(e));
-        assert!(m.lookup(2, 1).is_none());
-        let na = BoundMemoEntry::inapplicable();
-        m.insert(3, 4, na);
-        let got = m.lookup(3, 4).unwrap();
-        assert!(!got.applies && got.bound.is_nan() && got.delta_s.is_nan());
-        assert!(got.bits_eq(&na));
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn memo_counters_move_only_via_record() {
-        let m = BoundMemo::new();
-        m.insert(1, 1, BoundMemoEntry::inapplicable());
-        m.lookup(1, 1);
-        m.lookup(9, 9);
-        assert_eq!((m.hits(), m.misses()), (0, 0));
-        m.record(2, 3);
-        assert_eq!((m.hits(), m.misses()), (2, 3));
-        m.set_counters(7, 1);
-        assert_eq!((m.hits(), m.misses()), (7, 1));
-    }
-
-    #[test]
-    fn memo_snapshot_is_sorted() {
-        let m = BoundMemo::new();
-        for k in [(9u64, 1u128), (1, 2), (1, 1 << 80), (4, 0)] {
-            m.insert(
-                k.0,
-                k.1,
-                BoundMemoEntry {
-                    applies: true,
-                    bound: k.0 as f64,
-                    delta_s: 0.0,
-                },
-            );
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.len(), 4);
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn flat_memo_is_a_drop_in() {
-        // The flat backend must be observationally identical to the
-        // reference one through the portable-key API: same round
-        // trips, same snapshot bytes (portable 128-bit keys, sorted).
-        let reference = BoundMemo::new();
-        let flat = BoundMemo::flat(4);
-        assert!(!reference.is_flat() && flat.is_flat());
-        for k in [(9u64, 1u128), (1, 2), (1, 1 << 80), (4, 0), (1, 2)] {
-            let e = BoundMemoEntry {
-                applies: true,
-                bound: k.0 as f64,
-                delta_s: -1.0,
-            };
-            reference.insert(k.0, k.1, e);
-            flat.insert(k.0, k.1, e);
-        }
-        assert_eq!(flat.len(), 4);
-        assert_eq!(flat.lookup(1, 1 << 80).unwrap().bound, 1.0);
-        assert!(flat.lookup(1, 3).is_none());
-        assert_eq!(flat.snapshot(), reference.snapshot());
-    }
-
-    #[test]
-    fn flat_memo_cfg_keys_are_stable_and_keyed_lookups_agree() {
-        let m = BoundMemo::flat(1);
-        let k1 = m.cfg_key(0xDEAD_BEEF);
-        let k2 = m.cfg_key(0xFEED_FACE);
-        assert_ne!(k1, k2);
-        // Resolving the same signature again yields the same dense id.
-        assert_eq!(m.cfg_key(0xDEAD_BEEF), k1);
-        let e = BoundMemoEntry {
-            applies: false,
-            bound: f64::NAN,
-            delta_s: f64::NAN,
-        };
-        m.insert_keyed(7, k1, e);
-        // Keyed and portable-sig lookups address the same slot.
-        assert!(m.lookup_keyed(7, k1).unwrap().bits_eq(&e));
-        assert!(m.lookup(7, 0xDEAD_BEEF).unwrap().bits_eq(&e));
-        assert!(m.lookup_keyed(7, k2).is_none());
-        // A Sig key against a flat memo is resolved internally.
-        assert!(m
-            .lookup_keyed(7, MemoCfg::Sig(0xDEAD_BEEF))
-            .unwrap()
-            .bits_eq(&e));
-        // The reference memo hands back portable keys untouched.
-        let r = BoundMemo::new();
-        assert_eq!(r.cfg_key(42), MemoCfg::Sig(42));
-    }
-
-    #[test]
-    fn flat_memo_concurrent_use_is_safe() {
-        let m = BoundMemo::flat(4);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let m = &m;
-                s.spawn(move || {
-                    for i in 0..250u64 {
-                        let e = BoundMemoEntry {
-                            applies: true,
-                            bound: (t * 1000 + i) as f64,
-                            delta_s: 0.0,
-                        };
-                        m.insert(t * 1000 + i, u128::from(i % 7), e);
-                        assert_eq!(m.lookup(t * 1000 + i, u128::from(i % 7)), Some(e));
-                    }
-                });
-            }
-        });
-        assert_eq!(m.len(), 1000);
     }
 }

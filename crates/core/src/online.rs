@@ -334,7 +334,6 @@ pub fn window_costs(
         threads,
         cache: Some(&cache),
         relevance: Some(&relevance),
-        derived: true,
         shared,
         ..EvalCtx::default()
     };

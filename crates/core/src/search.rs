@@ -27,12 +27,12 @@ use crate::eval::{
 use crate::fault::{
     FaultEvent, FaultKind, FaultPlan, FaultSite, SITE_CANDIDATE, SITE_PREPASS, SITE_SHRINK,
 };
-use crate::incremental::{BoundMemo, BoundMemoEntry, Interner, MemoCfg};
+use crate::incremental::Interner;
 use crate::instrument::gather_optimal_configuration_traced;
 use crate::par::{par_map, resolve_threads};
 use crate::stop::{StopCheck, StopReason, StopToken};
 use crate::transform::{
-    apply_ctx, candidates, candidates_delta, removal_candidates, AppliedTransform, StepDelta,
+    apply, candidates, candidates_delta, removal_candidates, AppliedTransform, StepDelta,
     Transformation,
 };
 use crate::workload::Workload;
@@ -124,34 +124,6 @@ pub struct TunerOptions {
     /// Contained faults tolerated before the session trips
     /// [`StopReason::FaultLimit`] and returns the best-so-far report.
     pub max_faults: usize,
-    /// Incremental candidate engine: derive each node's candidate list
-    /// from its parent's by delta enumeration, serve repeated §3.3.2
-    /// bound computations from the bound memo, and restrict fresh bound
-    /// computations to the affected-query subset. A pure perf knob:
-    /// reports, traces, and checkpoints are byte-identical to the
-    /// from-scratch reference engine (`false`), which recomputes
-    /// everything and revalidates the memo against it in debug builds.
-    pub incremental: bool,
-    /// Derived what-if costing: key the cost cache by each query's
-    /// *relevant* structure subset (so relaxations of structures a
-    /// query cannot use are guaranteed hits), and serve keyed misses by
-    /// re-pricing a cached plan whose access paths survive. A pure perf
-    /// knob with the same contract as `incremental`: reports, traces,
-    /// and checkpoints are byte-identical to the reference mode
-    /// (`false`), which performs a real optimizer call behind every
-    /// derived serve and uses its answer; debug builds additionally
-    /// assert bitwise agreement on every serve in both modes.
-    pub derived_costs: bool,
-    /// Flat id-addressed hot path: intern per-index 128-bit signatures
-    /// once per session, probe the bound memo through dense-id tables
-    /// instead of hashing `(sig, sig)` tuples, build relevance
-    /// projections from a per-evaluation flat index table, reuse arena
-    /// scratch for the skyline scan, and size cache shards from the
-    /// actual worker count. A pure perf knob with the same contract as
-    /// `incremental`/`derived_costs`: reports, traces, and checkpoints
-    /// are byte-identical to the hash-keyed reference mode (`false`).
-    /// Ids are session-local — they never enter checkpoints or traces.
-    pub flat_hot_path: bool,
     /// Wii-style what-if call budget — the *approximate tier*. Caps the
     /// worst-case real optimizer invocations the relaxation loop
     /// (pre-pass included) may spend; candidates whose exact cost
@@ -163,8 +135,8 @@ pub struct TunerOptions {
     /// budget. The recommended configuration is re-priced exactly
     /// (budget-exempt) before it is returned. `None` (the default) is
     /// the exact tier: byte-identical to an engine without this knob.
-    /// Unlike the perf knobs above, the budget changes logical
-    /// decisions, so it is part of the options signature.
+    /// Unlike `threads`, the budget changes logical decisions, so it
+    /// is part of the options signature.
     pub optimizer_call_budget: Option<usize>,
     /// Warm start: the currently-deployed configuration of an online
     /// re-tuning loop. When set, the session evaluates it once during
@@ -197,9 +169,6 @@ impl Default for TunerOptions {
             stop: None,
             fault_plan: None,
             max_faults: 16,
-            incremental: true,
-            derived_costs: true,
-            flat_hot_path: true,
             optimizer_call_budget: None,
             deployed: None,
         }
@@ -262,23 +231,14 @@ pub struct TuningReport {
     /// when the cache is disabled).
     pub cache_hits: u64,
     pub cache_misses: u64,
-    /// Candidate scores computed fresh at a node (a §3.3.2 bound memo
-    /// probe, hit or miss). Mode-invariant: the reference engine counts
-    /// the same probes it recomputes from scratch.
+    /// Candidate scores computed fresh at a node (one §3.3.2 bound
+    /// each).
     pub candidates_generated: u64,
-    /// Candidate scores inherited from the parent node's scored list
-    /// without touching the memo.
+    /// Candidate scores inherited from the parent node's scored list.
     pub candidates_reused: u64,
-    /// §3.3.2 bound memo hits/misses over the whole session (the
-    /// reference engine maintains — and in debug builds revalidates —
-    /// the identical memo, so these match across modes).
-    pub bound_memo_hits: u64,
-    pub bound_memo_misses: u64,
     /// Optimizer calls the derived-costing layer made unnecessary:
     /// relevant-subset cache hits beyond the coarse per-table
-    /// projection, plus plan-reuse serves. Mode-invariant: with
-    /// `--no-derived-costs` every such serve is still classified (and
-    /// counted) identically, just backed by a real validation call.
+    /// projection, plus plan-reuse serves.
     pub optimizer_calls_avoided: u64,
     /// Keyed cache misses served by re-pricing a surviving cached plan.
     pub plan_cache_hits: u64,
@@ -342,19 +302,15 @@ struct Node {
     parent: Option<usize>,
     /// Actual penalty of the last relaxation applied *from* this node.
     last_relax_penalty: f64,
-    /// Cached `config.signature128()` (bound memo key component; wide
-    /// so signature collisions cannot alias two configurations' memo
-    /// rows).
-    sig: u128,
     /// Interned signatures of transformations already tried from this
     /// node.
     tried: HashSet<u64>,
     /// Full candidate list in enumeration order with interned
-    /// signatures; kept only in incremental mode, where children derive
-    /// theirs from it by delta enumeration.
+    /// signatures, set once the node is scored; children derive theirs
+    /// from it by delta enumeration.
     cands: Option<std::sync::Arc<Vec<(Transformation, u64)>>>,
-    /// Net structural change from the parent (incremental mode only;
-    /// `None` for the root, which enumerates from scratch).
+    /// Net structural change from the parent (`None` for parentless
+    /// start points, which enumerate from scratch).
     delta: Option<StepDelta>,
     /// Candidate transformations with their §3.3 estimates, computed
     /// once per node ("we can also cache results from one iteration to
@@ -385,25 +341,6 @@ struct ScoredCandidate {
     delta_s: f64,
     sig: u64,
     transformation: Transformation,
-}
-
-/// A node's still-valid inherited scores, keyed by transformation
-/// signature. The reference engine clones the parent's candidates into
-/// an owned map up front; the flat engine borrows them and clones only
-/// the ones actually reused. Either way [`Inherited::get_cloned`] hands
-/// back identical values.
-enum Inherited<'a> {
-    Owned(std::collections::HashMap<u64, ScoredCandidate>),
-    Borrowed(std::collections::HashMap<u64, &'a ScoredCandidate>),
-}
-
-impl Inherited<'_> {
-    fn get_cloned(&self, sig: u64) -> Option<ScoredCandidate> {
-        match self {
-            Inherited::Owned(m) => m.get(&sig).cloned(),
-            Inherited::Borrowed(m) => m.get(&sig).map(|c| (*c).clone()),
-        }
-    }
 }
 
 impl ScoredCandidate {
@@ -438,142 +375,55 @@ impl ScoredCandidate {
     }
 }
 
-/// Derive a candidate score from a memoized bound entry.
-fn score_from_entry(
-    entry: &BoundMemoEntry,
-    eval: &EvalResult,
-    t: &Transformation,
-    sig: u64,
-) -> Option<ScoredCandidate> {
-    if !entry.applies {
-        return None;
-    }
-    let delta_t = entry.bound - eval.total_cost;
-    if entry.delta_s <= 0.0 && delta_t >= 0.0 {
-        return None; // not a relaxation in any useful sense
-    }
-    Some(ScoredCandidate {
-        delta_t,
-        delta_s: entry.delta_s,
-        sig,
-        transformation: t.clone(),
-    })
-}
-
-/// Score one transformation against a node's configuration/eval,
-/// routed through the §3.3.2 bound memo. Returns the score and whether
-/// the memo already held the entry.
-///
-/// Both engines maintain the identical memo: on a hit the incremental
-/// engine serves the entry (skipping apply + bound entirely; in debug
-/// builds it still recomputes and asserts bitwise agreement), while the
-/// reference engine recomputes from scratch, asserts the entry matches,
-/// and uses the fresh value — so a memo bug cannot change reference
-/// output, and any divergence trips an assertion. Fresh computations in
-/// incremental mode use the affected-query-restricted bound, which is
-/// bit-identical to the full one (see `cost_upper_bound_restricted`).
-///
-/// `memoize: false` bypasses the memo entirely (no lookup, no insert):
-/// the memo key assumes one canonical evaluation per configuration,
-/// which the approximate tier breaks — a served evaluation is a
-/// trajectory-dependent upper bound, so the same configuration can
-/// legitimately carry different per-query costs. Bounds are pure CPU
-/// (no optimizer calls), so the budgeted tier just recomputes.
-#[allow(clippy::too_many_arguments)]
-fn score_one_memo(
+/// The §3.3.2 cost upper bound of `applied`, restricted to the
+/// queries the transformation can affect. Debug builds check it
+/// bit-for-bit against the full bound over every query.
+fn restricted_bound(
     db: &Database,
     opt: &Optimizer<'_>,
     workload: &Workload,
     eval: &EvalResult,
     config: &Configuration,
-    cfg_key: MemoCfg,
+    applied: &AppliedTransform,
+    view_costs: &ViewBuildCosts,
+) -> f64 {
+    let model = &opt.opts.cost;
+    let bound = cost_upper_bound_restricted(db, model, workload, eval, config, applied, view_costs);
+    debug_assert_eq!(
+        bound.to_bits(),
+        cost_upper_bound(db, model, workload, eval, config, applied, view_costs).to_bits(),
+        "restricted bound diverged from the full bound for {}",
+        applied.transformation
+    );
+    bound
+}
+
+/// Score one transformation against a node's configuration/eval:
+/// `None` when it does not apply or is not a relaxation in any useful
+/// sense.
+#[allow(clippy::too_many_arguments)]
+fn score_one(
+    db: &Database,
+    opt: &Optimizer<'_>,
+    workload: &Workload,
+    eval: &EvalResult,
+    config: &Configuration,
     t: &Transformation,
     sig: u64,
     view_costs: &ViewBuildCosts,
-    memo: &BoundMemo,
-    incremental: bool,
-    flat: bool,
-    memoize: bool,
-) -> (Option<ScoredCandidate>, bool) {
-    let cached = if memoize {
-        memo.lookup_keyed(sig, cfg_key)
-    } else {
-        None
-    };
-    let computed: Option<(BoundMemoEntry, Option<ScoredCandidate>)> =
-        if cached.is_none() || !incremental || cfg!(debug_assertions) {
-            let pair = match apply_ctx(t, config, db, opt, flat) {
-                None => (BoundMemoEntry::inapplicable(), None),
-                Some(applied) => {
-                    let bound = if incremental {
-                        let b = cost_upper_bound_restricted(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            eval,
-                            config,
-                            &applied,
-                            view_costs,
-                        );
-                        debug_assert_eq!(
-                            b.to_bits(),
-                            cost_upper_bound(
-                                db,
-                                &opt.opts.cost,
-                                workload,
-                                eval,
-                                config,
-                                &applied,
-                                view_costs,
-                            )
-                            .to_bits(),
-                            "restricted bound diverged from the full bound for {t}"
-                        );
-                        b
-                    } else {
-                        cost_upper_bound(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            eval,
-                            config,
-                            &applied,
-                            view_costs,
-                        )
-                    };
-                    let entry = BoundMemoEntry {
-                        applies: true,
-                        bound,
-                        delta_s: applied.delta_bytes,
-                    };
-                    (entry, score_from_entry(&entry, eval, t, sig))
-                }
-            };
-            Some(pair)
-        } else {
-            None
-        };
-    match (cached, computed) {
-        (Some(entry), Some((fresh, sc))) => {
-            debug_assert!(
-                fresh.bits_eq(&entry),
-                "bound memo entry diverged from recomputation for {t}"
-            );
-            if incremental {
-                (score_from_entry(&entry, eval, t, sig), true)
-            } else {
-                (sc, true)
-            }
-        }
-        (Some(entry), None) => (score_from_entry(&entry, eval, t, sig), true),
-        (None, Some((fresh, sc))) => {
-            if memoize {
-                memo.insert_keyed(sig, cfg_key, fresh);
-            }
-            (sc, false)
-        }
-        (None, None) => unreachable!("missed entries are always computed"),
+) -> Option<ScoredCandidate> {
+    let applied = apply(t, config, db, opt)?;
+    let bound = restricted_bound(db, opt, workload, eval, config, &applied, view_costs);
+    let delta_t = bound - eval.total_cost;
+    if applied.delta_bytes <= 0.0 && delta_t >= 0.0 {
+        return None;
     }
+    Some(ScoredCandidate {
+        delta_t,
+        delta_s: applied.delta_bytes,
+        sig,
+        transformation: t.clone(),
+    })
 }
 
 /// Run a tuning session (the paper's PTT).
@@ -664,12 +514,8 @@ fn options_signature(options: &TunerOptions, db: &Database, workload: &Workload)
     // budgeted checkpoint must never resume an unbudgeted session or
     // vice versa.
     options.optimizer_call_budget.hash(&mut h);
-    // `incremental`, `derived_costs`, and `flat_hot_path` are
-    // deliberately excluded: every engine and costing/addressing mode
-    // produces byte-identical output, so checkpoints are portable
-    // across all of them. The shared store (`SessionCtl::shared_store`)
-    // is excluded for the same reason — it only converts real
-    // invocations into bitwise-identical serves.
+    // The shared store (`SessionCtl::shared_store`) is excluded: it
+    // only converts real invocations into bitwise-identical serves.
     match options.fault_plan {
         None => 0u8.hash(&mut h),
         Some(p) => {
@@ -781,7 +627,6 @@ fn capture_checkpoint(
     budget_spent: u64,
     budget_skipped: u64,
     cache: Option<&CostCache>,
-    memo: &BoundMemo,
     interner: &Interner,
     relevance: &RelevanceTable,
     tracer: Option<&Tracer>,
@@ -801,14 +646,11 @@ fn capture_checkpoint(
         budget_skipped,
         cache_hits: cache.map_or(0, |c| c.hits()),
         cache_misses: cache.map_or(0, |c| c.misses()),
-        bound_memo_hits: memo.hits(),
-        bound_memo_misses: memo.misses(),
         derived: cache.map(|c| c.derived_counters()).unwrap_or_default(),
         best: report.best.as_ref().map(|b| (b.cost, b.size_bytes)),
         frontier_len: report.frontier.len(),
         faults: report.faults.clone(),
         cache: cache.map(|c| c.snapshot()).unwrap_or_default(),
-        bound_memo: memo.snapshot(),
         interner: interner.snapshot(),
         relevance: relevance.rows().to_vec(),
         trace: tracer.map(|t| TraceCheckpoint {
@@ -916,35 +758,12 @@ pub fn tune_session(
     let trc = |live: bool| if live { ctl.tracer } else { None };
 
     let threads = resolve_threads(options.threads);
-    // Flat hot path: the same stores behind id-addressed flat tables,
-    // sharded for the actual worker count. Ids are session-local;
-    // checkpoints serialize portable signatures either way.
-    let flat = options.flat_hot_path;
-    let cache = match ctl.resume {
-        Some(ck) => options.cost_cache.then(|| ck.restore_cache(flat, threads)),
-        None => options.cost_cache.then(|| {
-            if flat {
-                CostCache::flat(threads)
-            } else {
-                CostCache::new()
-            }
-        }),
-    };
-    // Bound memo + interner exist in both engines (the reference engine
-    // maintains and revalidates them without depending on them), so
-    // checkpoints stay portable across `incremental` settings. Replay
-    // against a restored memo flips original misses into hits; the
-    // counters are overwritten with the authoritative values at go-live.
-    let memo = match ctl.resume {
-        Some(ck) => ck.restore_memo(flat, threads),
-        None => {
-            if flat {
-                BoundMemo::flat(threads)
-            } else {
-                BoundMemo::new()
-            }
-        }
-    };
+    // The cost cache's flat probe tables are sharded for the actual
+    // worker count; checkpoints serialize portable signatures.
+    let cache = options.cost_cache.then(|| match ctl.resume {
+        Some(ck) => ck.restore_cache(threads),
+        None => CostCache::flat(threads),
+    });
     let interner = match ctl.resume {
         Some(ck) => ck.restore_interner(),
         None => Interner::new(),
@@ -963,8 +782,7 @@ pub fn tune_session(
     }
     // Session-portable content signatures for the shared store,
     // computed once: the schema namespace and one signature per
-    // workload statement. Like `incremental`/`derived_costs`/
-    // `flat_hot_path`, the shared store is excluded from
+    // workload statement. The shared store is excluded from
     // `options_signature` — it is pure perf, so checkpoints stay
     // portable across shared-store settings.
     let query_sigs: Vec<u128> = if ctl.shared_store.is_some() {
@@ -991,8 +809,6 @@ pub fn tune_session(
         stop: None,
         faults: None,
         relevance: Some(&relevance),
-        derived: options.derived_costs,
-        flat,
         shared,
     };
 
@@ -1125,8 +941,6 @@ pub fn tune_session(
         cache_misses: 0,
         candidates_generated: 0,
         candidates_reused: 0,
-        bound_memo_hits: 0,
-        bound_memo_misses: 0,
         optimizer_calls_avoided: 0,
         plan_cache_hits: 0,
         plan_cache_misses: 0,
@@ -1223,26 +1037,10 @@ pub fn tune_session(
             }
             let removals: Vec<(Transformation, u64)> = {
                 let _hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Candidates);
-                // The pre-pass only ever scores removals; the flat
-                // engine enumerates them directly instead of building
-                // (and discarding) the full merge/split/prefix list.
-                // `removal_candidates` emits the identical filtered
-                // sequence (debug builds assert it).
-                let removals = if flat {
-                    removal_candidates(&cfg, &base)
-                } else {
-                    candidates(&cfg, &base)
-                        .into_iter()
-                        .filter(|t| {
-                            matches!(
-                                t,
-                                Transformation::RemoveIndex { .. }
-                                    | Transformation::RemoveView { .. }
-                            )
-                        })
-                        .collect()
-                };
-                removals
+                // The pre-pass only ever scores removals, so it
+                // enumerates them directly instead of building (and
+                // discarding) the full merge/split/prefix list.
+                removal_candidates(&cfg, &base)
                     .into_iter()
                     .map(|t| {
                         let sig = interner.transform_sig(&t);
@@ -1250,54 +1048,27 @@ pub fn tune_session(
                     })
                     .collect()
             };
-            // Score every removal on the worker pool (through the bound
-            // memo), then fold the results in candidate order: the fold
-            // keeps the sequential tie-break (first strict minimum
-            // wins) and accumulates memo hit/miss counts in input
-            // order, so the pre-pass is identical for any thread count.
-            let cfg_key = memo.cfg_key(cfg.signature128());
+            // Score every removal on the worker pool, then fold the
+            // results in candidate order: the fold keeps the
+            // sequential tie-break (first strict minimum wins), so the
+            // pre-pass is identical for any thread count.
             let pricing_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Pricing);
             let scored = par_map(threads, &removals, |_, (t, sig)| {
-                score_one_memo(
-                    db,
-                    &opt,
-                    workload,
-                    &eval,
-                    &cfg,
-                    cfg_key,
-                    t,
-                    *sig,
-                    &view_costs,
-                    &memo,
-                    options.incremental,
-                    flat,
-                    budget.is_none(),
-                )
+                score_one(db, &opt, workload, &eval, &cfg, t, *sig, &view_costs)
             });
             drop(pricing_hot);
-            let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
             let mut best_removal: Option<(f64, Transformation)> = None;
-            for (sc, hit) in scored {
-                if hit {
-                    memo_hits += 1;
-                } else {
-                    memo_misses += 1;
-                }
-                if let Some(c) = sc {
-                    if c.delta_t <= 1e-9
-                        && best_removal.as_ref().is_none_or(|(d, _)| c.delta_t < *d)
-                    {
-                        best_removal = Some((c.delta_t, c.transformation));
-                    }
+            for c in scored.into_iter().flatten() {
+                if c.delta_t <= 1e-9 && best_removal.as_ref().is_none_or(|(d, _)| c.delta_t < *d) {
+                    best_removal = Some((c.delta_t, c.transformation));
                 }
             }
-            memo.record_traced(memo_hits, memo_misses, trc(live));
             let Some((delta_t, transformation)) = best_removal else {
                 break;
             };
             // Re-apply only the winner (the workers no longer carry
             // every applied configuration back).
-            let Some(applied) = apply_ctx(&transformation, &cfg, db, &opt, flat) else {
+            let Some(applied) = apply(&transformation, &cfg, db, &opt) else {
                 break;
             };
             // Approximate tier: a pre-pass winner's §3.3.2 bound proved
@@ -1448,7 +1219,6 @@ pub fn tune_session(
     drop(prepass_span);
     let root_size = root_config.size_bytes(db);
 
-    let root_sig = root_config.signature128();
     // A bound-served pre-pass leaves the root's costs upper-bounded
     // rather than evaluated; rank it by its interval midpoint like any
     // other estimated node. (Its `best` entry below, if it fits, is a
@@ -1461,7 +1231,6 @@ pub fn tune_session(
         eval: root_eval,
         parent: None,
         last_relax_penalty: 0.0,
-        sig: root_sig,
         tried: HashSet::new(),
         cands: None,
         delta: None,
@@ -1505,14 +1274,12 @@ pub fn tune_session(
             });
         }
         if deval.total_cost < initial_cost {
-            let dep_sig = d.signature128();
             nodes.push(Node {
                 config: d.clone(),
                 eval: deval.clone(),
                 size: *dsize,
                 parent: None,
                 last_relax_penalty: 0.0,
-                sig: dep_sig,
                 tried: HashSet::new(),
                 cands: None,
                 delta: None,
@@ -1524,10 +1291,8 @@ pub fn tune_session(
             last_created = nodes.len() - 1;
         }
     }
-    // Search-phase scoring counters. Replay regenerates them exactly:
-    // `generated` counts memo probes regardless of hit/miss outcome
-    // (which a restored memo flips), and `reused` never touches the
-    // memo, so neither needs a checkpoint field.
+    // Search-phase scoring counters. Replay regenerates them exactly,
+    // so neither needs a checkpoint field.
     let mut candidates_generated = 0u64;
     let mut candidates_reused = 0u64;
 
@@ -1552,11 +1317,6 @@ pub fn tune_session(
                 c.set_counters(ck.cache_hits, ck.cache_misses);
                 c.set_derived_counters(ck.derived);
             }
-            // Replay against the restored memo turns original misses
-            // into hits (candidate generated/reused locals replay
-            // exactly — `generated` counts probes regardless of
-            // outcome — so only the memo counters need restoring).
-            memo.set_counters(ck.bound_memo_hits, ck.bound_memo_misses);
             if let (Some(t), Some(tc)) = (ctl.tracer, &ck.trace) {
                 t.restore_state(tc.state.clone());
                 search_span = Some(t.resume_span("search", tc.open_span_seq));
@@ -1594,7 +1354,6 @@ pub fn tune_session(
                         budget_spent,
                         budget_skipped,
                         cache.as_ref(),
-                        &memo,
                         &interner,
                         &relevance,
                         ctl.tracer,
@@ -1637,110 +1396,71 @@ pub fn tune_session(
         // amortized number of transformations that we evaluate per
         // iteration is rather small", §3.4).
         if nodes[node_idx].scored.is_none() {
-            // Candidate enumeration: the incremental engine derives the
-            // list from the parent's by delta enumeration (identical to
-            // a from-scratch run — asserted in debug builds); the
-            // reference engine, and the root in both, enumerate from
-            // scratch.
+            // Candidate enumeration: a child derives its list from the
+            // parent's by delta enumeration (identical to a from-scratch
+            // run — asserted in debug builds); parentless start points
+            // enumerate from scratch.
             let parent_cands = nodes[node_idx].parent.and_then(|p| nodes[p].cands.clone());
             let cands_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Candidates);
             let cands: std::sync::Arc<Vec<(Transformation, u64)>> =
-                match (options.incremental, parent_cands, &nodes[node_idx].delta) {
-                    (true, Some(pc), Some(d)) => std::sync::Arc::new(candidates_delta(
-                        &nodes[node_idx].config,
-                        &base,
-                        &pc,
-                        d,
-                        &interner,
-                    )),
-                    _ => std::sync::Arc::new(
-                        candidates(&nodes[node_idx].config, &base)
-                            .into_iter()
-                            .map(|t| {
-                                let sig = interner.transform_sig(&t);
-                                (t, sig)
-                            })
-                            .collect(),
-                    ),
-                };
+                std::sync::Arc::new(match (parent_cands, &nodes[node_idx].delta) {
+                    (Some(pc), Some(d)) => {
+                        candidates_delta(&nodes[node_idx].config, &base, &pc, d, &interner)
+                    }
+                    _ => candidates(&nodes[node_idx].config, &base)
+                        .into_iter()
+                        .map(|t| {
+                            let sig = interner.transform_sig(&t);
+                            (t, sig)
+                        })
+                        .collect(),
+                });
             drop(cands_hot);
-            // The flat engine borrows the parent's scored candidates
-            // (one clone per reused candidate, at reuse time) instead
-            // of cloning the whole still-valid set up front; the values
-            // handed back are identical.
-            let inherited: Inherited<'_> = match nodes[node_idx].parent {
-                Some(p) if flat => Inherited::Borrowed(
-                    nodes[p]
+            // The parent's still-valid scores, borrowed: each one is
+            // cloned only when a candidate actually reuses it.
+            let inherited: std::collections::HashMap<u64, &ScoredCandidate> =
+                match nodes[node_idx].parent {
+                    Some(p) => nodes[p]
                         .scored
                         .iter()
                         .flatten()
                         .filter(|c| c.still_valid(&nodes[node_idx].config))
                         .map(|c| (c.sig, c))
                         .collect(),
-                ),
-                Some(p) => Inherited::Owned(
-                    nodes[p]
-                        .scored
-                        .iter()
-                        .flatten()
-                        .filter(|c| c.still_valid(&nodes[node_idx].config))
-                        .map(|c| (c.sig, c.clone()))
-                        .collect(),
-                ),
-                None => Inherited::Owned(std::collections::HashMap::new()),
-            };
-            // Fresh candidates are scored on the worker pool (through
-            // the bound memo); results come back in candidate order and
-            // the reuse/hit/miss tallies are folded in that order, so
-            // the scored list (and everything downstream) is
-            // thread-count-invariant.
-            const REUSED: u8 = 0;
-            const MEMO_HIT: u8 = 1;
-            const MEMO_MISS: u8 = 2;
+                    None => std::collections::HashMap::new(),
+                };
+            // Fresh candidates are scored on the worker pool; results
+            // come back in candidate order and the reuse tallies are
+            // folded in that order, so the scored list (and everything
+            // downstream) is thread-count-invariant.
             let node = &nodes[node_idx];
-            let node_key = memo.cfg_key(node.sig);
             let pricing_hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Pricing);
-            let results: Vec<(Option<ScoredCandidate>, u8)> =
-                par_map(threads, &cands, |_, (t, sig)| {
-                    if let Some(c) = inherited.get_cloned(*sig) {
-                        (Some(c), REUSED)
-                    } else {
-                        let (sc, hit) = score_one_memo(
+            let results: Vec<(Option<ScoredCandidate>, bool)> =
+                par_map(threads, &cands, |_, (t, sig)| match inherited.get(sig) {
+                    Some(&c) => (Some(c.clone()), true),
+                    None => (
+                        score_one(
                             db,
                             &opt,
                             workload,
                             &node.eval,
                             &node.config,
-                            node_key,
                             t,
                             *sig,
                             &view_costs,
-                            &memo,
-                            options.incremental,
-                            flat,
-                            budget.is_none(),
-                        );
-                        (sc, if hit { MEMO_HIT } else { MEMO_MISS })
-                    }
+                        ),
+                        false,
+                    ),
                 });
             drop(pricing_hot);
-            let (mut reused, mut memo_hits, mut memo_misses) = (0u64, 0u64, 0u64);
-            let mut scored: Vec<ScoredCandidate> = Vec::new();
-            for (sc, kind) in results {
-                match kind {
-                    REUSED => reused += 1,
-                    MEMO_HIT => memo_hits += 1,
-                    _ => memo_misses += 1,
-                }
-                if let Some(c) = sc {
-                    scored.push(c);
-                }
-            }
+            let reused = results.iter().filter(|(_, r)| *r).count() as u64;
+            let generated = results.len() as u64 - reused;
+            let scored: Vec<ScoredCandidate> =
+                results.into_iter().filter_map(|(sc, _)| sc).collect();
             candidates_reused += reused;
-            candidates_generated += memo_hits + memo_misses;
+            candidates_generated += generated;
             pdt_trace::incr(trc(live), "candidates.reused", reused);
-            pdt_trace::incr(trc(live), "candidates.generated", memo_hits + memo_misses);
-            memo.record_traced(memo_hits, memo_misses, trc(live));
+            pdt_trace::incr(trc(live), "candidates.generated", generated);
             pdt_trace::incr(trc(live), "search.scored", scored.len() as u64);
             if let Some(t) = trc(live) {
                 for c in &scored {
@@ -1754,9 +1474,7 @@ pub fn tune_session(
                     );
                 }
             }
-            if options.incremental {
-                nodes[node_idx].cands = Some(cands);
-            }
+            nodes[node_idx].cands = Some(cands);
             nodes[node_idx].scored = Some(scored);
         }
 
@@ -1774,53 +1492,38 @@ pub fn tune_session(
         // ΔT and worse ΔS than another candidate).
         if has_updates && options.skyline_filter && open.len() > 1 {
             let _hot = pdt_trace::hot_span(trc(live), pdt_trace::HotPhase::Skyline);
-            if flat {
-                // SoA scan over reused scratch: same predicate, same
-                // input order, same flags — only the memory shape (and
-                // the per-candidate re-scan) changes.
-                let flags = skyline_scratch
-                    .dominated_flags(open.iter().map(|c| (c.delta_t, c.delta_s)))
-                    .to_vec();
-                if let Some(t) = trc(live) {
-                    for (c, _) in open.iter().zip(&flags).filter(|(_, &d)| d) {
-                        t.emit(
-                            "skyline.drop",
-                            vec![
-                                ("transformation", c.transformation.to_string().into()),
-                                ("delta_t", c.delta_t.into()),
-                                ("delta_s", c.delta_s.into()),
-                            ],
-                        );
-                    }
-                }
-                let mut i = 0;
-                open.retain(|_| {
-                    let keep = !flags[i];
-                    i += 1;
-                    keep
-                });
-            } else {
-                let snapshot: Vec<(f64, f64)> =
-                    open.iter().map(|c| (c.delta_t, c.delta_s)).collect();
-                let dominated = |c: &ScoredCandidate| {
-                    snapshot.iter().any(|(ot, os)| {
-                        *ot <= c.delta_t && *os >= c.delta_s && (*ot < c.delta_t || *os > c.delta_s)
+            // SoA scan over reused scratch.
+            let flags = skyline_scratch
+                .dominated_flags(open.iter().map(|c| (c.delta_t, c.delta_s)))
+                .to_vec();
+            debug_assert!(
+                open.iter().zip(&flags).all(|(c, &flag)| {
+                    flag == open.iter().any(|o| {
+                        o.delta_t <= c.delta_t
+                            && o.delta_s >= c.delta_s
+                            && (o.delta_t < c.delta_t || o.delta_s > c.delta_s)
                     })
-                };
-                if let Some(t) = trc(live) {
-                    for c in open.iter().filter(|c| dominated(c)) {
-                        t.emit(
-                            "skyline.drop",
-                            vec![
-                                ("transformation", c.transformation.to_string().into()),
-                                ("delta_t", c.delta_t.into()),
-                                ("delta_s", c.delta_s.into()),
-                            ],
-                        );
-                    }
+                }),
+                "SoA skyline flags diverged from the per-candidate re-scan"
+            );
+            if let Some(t) = trc(live) {
+                for (c, _) in open.iter().zip(&flags).filter(|(_, &d)| d) {
+                    t.emit(
+                        "skyline.drop",
+                        vec![
+                            ("transformation", c.transformation.to_string().into()),
+                            ("delta_t", c.delta_t.into()),
+                            ("delta_s", c.delta_s.into()),
+                        ],
+                    );
                 }
-                open.retain(|c| !dominated(c));
             }
+            let mut i = 0;
+            open.retain(|_| {
+                let keep = !flags[i];
+                i += 1;
+                keep
+            });
         }
         report.candidate_counts.push(open.len());
         pdt_trace::incr(trc(live), "search.open", open.len() as u64);
@@ -1856,8 +1559,7 @@ pub fn tune_session(
             ],
         );
         nodes[node_idx].tried.insert(chosen_sig);
-        let Some(applied) = apply_ctx(&transformation, &nodes[node_idx].config, db, &opt, flat)
-        else {
+        let Some(applied) = apply(&transformation, &nodes[node_idx].config, db, &opt) else {
             pdt_trace::emit(
                 trc(live),
                 "step.skip",
@@ -1966,17 +1668,15 @@ pub fn tune_session(
                         size_bytes: new_size,
                     });
                 }
-                let child_sig = config.signature128();
                 nodes.push(Node {
                     config,
                     eval: est_eval,
                     size: new_size,
                     parent: Some(node_idx),
                     last_relax_penalty: 0.0,
-                    sig: child_sig,
                     tried: HashSet::new(),
                     cands: None,
-                    delta: options.incremental.then_some(StepDelta {
+                    delta: Some(StepDelta {
                         removed_indexes,
                         removed_views,
                         added_indexes,
@@ -2108,102 +1808,16 @@ pub fn tune_session(
         if options.validate_bounds {
             // Inherited candidate scores can be stale with respect to
             // the node they are applied from, so the oracle recomputes
-            // the bound fresh against this node's plans — through the
-            // bound memo: a candidate freshly scored at this node was
-            // already priced against this exact (transformation,
-            // configuration) context, so the rescore is a guaranteed
-            // hit and the same context is never priced twice.
-            let cached = memo.lookup(chosen_sig, nodes[node_idx].sig);
-            let hit = cached.is_some();
-            let bound = match cached {
-                Some(entry) => {
-                    debug_assert!(
-                        entry.applies,
-                        "chosen transformation applied but the memo says inapplicable"
-                    );
-                    #[cfg(debug_assertions)]
-                    {
-                        let fresh = cost_upper_bound(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            &nodes[node_idx].eval,
-                            &nodes[node_idx].config,
-                            &applied,
-                            &view_costs,
-                        );
-                        debug_assert_eq!(
-                            fresh.to_bits(),
-                            entry.bound.to_bits(),
-                            "memoized bound diverged from recomputation at rescore"
-                        );
-                    }
-                    if options.incremental {
-                        entry.bound
-                    } else {
-                        // The reference engine never depends on the
-                        // memo: recompute and use the fresh value.
-                        cost_upper_bound(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            &nodes[node_idx].eval,
-                            &nodes[node_idx].config,
-                            &applied,
-                            &view_costs,
-                        )
-                    }
-                }
-                None => {
-                    let b = if options.incremental {
-                        let b = cost_upper_bound_restricted(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            &nodes[node_idx].eval,
-                            &nodes[node_idx].config,
-                            &applied,
-                            &view_costs,
-                        );
-                        debug_assert_eq!(
-                            b.to_bits(),
-                            cost_upper_bound(
-                                db,
-                                &opt.opts.cost,
-                                workload,
-                                &nodes[node_idx].eval,
-                                &nodes[node_idx].config,
-                                &applied,
-                                &view_costs,
-                            )
-                            .to_bits(),
-                            "restricted bound diverged from the full bound at rescore"
-                        );
-                        b
-                    } else {
-                        cost_upper_bound(
-                            db,
-                            &opt.opts.cost,
-                            workload,
-                            &nodes[node_idx].eval,
-                            &nodes[node_idx].config,
-                            &applied,
-                            &view_costs,
-                        )
-                    };
-                    memo.insert(
-                        chosen_sig,
-                        nodes[node_idx].sig,
-                        BoundMemoEntry {
-                            applies: true,
-                            bound: b,
-                            delta_s: applied.delta_bytes,
-                        },
-                    );
-                    b
-                }
-            };
-            memo.record_traced(u64::from(hit), u64::from(!hit), trc(live));
+            // the bound fresh against this node's plans.
+            let bound = restricted_bound(
+                db,
+                &opt,
+                workload,
+                &nodes[node_idx].eval,
+                &nodes[node_idx].config,
+                &applied,
+                &view_costs,
+            );
             oracle_check(
                 &mut report,
                 trc(live),
@@ -2290,16 +1904,13 @@ pub fn tune_session(
                         }
                         config = shrunk;
                         eval = e2;
-                        if options.incremental {
-                            // A shrunk-away addition cancels out; a
-                            // shrunk pre-existing structure counts as
-                            // removed.
-                            for i in &unused_ix {
-                                if let Some(pos) = step_added_ix.iter().position(|a| a == i) {
-                                    step_added_ix.remove(pos);
-                                } else {
-                                    step_removed_ix.push(i.clone());
-                                }
+                        // A shrunk-away addition cancels out; a shrunk
+                        // pre-existing structure counts as removed.
+                        for i in &unused_ix {
+                            if let Some(pos) = step_added_ix.iter().position(|a| a == i) {
+                                step_added_ix.remove(pos);
+                            } else {
+                                step_removed_ix.push(i.clone());
                             }
                         }
                     }
@@ -2361,17 +1972,15 @@ pub fn tune_session(
                 size_bytes: size,
             });
         }
-        let child_sig = config.signature128();
         nodes.push(Node {
             config,
             eval,
             size,
             parent: Some(node_idx),
             last_relax_penalty: 0.0,
-            sig: child_sig,
             tried: HashSet::new(),
             cands: None,
-            delta: options.incremental.then_some(StepDelta {
+            delta: Some(StepDelta {
                 removed_indexes: step_removed_ix,
                 removed_views: step_removed_vw,
                 added_indexes: step_added_ix,
@@ -2395,7 +2004,6 @@ pub fn tune_session(
             c.set_counters(ck.cache_hits, ck.cache_misses);
             c.set_derived_counters(ck.derived);
         }
-        memo.set_counters(ck.bound_memo_hits, ck.bound_memo_misses);
         if let (Some(t), Some(tc)) = (ctl.tracer, &ck.trace) {
             t.restore_state(tc.state.clone());
             search_span = Some(t.resume_span("search", tc.open_span_seq));
@@ -2482,8 +2090,6 @@ pub fn tune_session(
     }
     report.candidates_generated = candidates_generated;
     report.candidates_reused = candidates_reused;
-    report.bound_memo_hits = memo.hits();
-    report.bound_memo_misses = memo.misses();
     report.optimizer_calls_skipped = budget_skipped;
     report.budget_remaining = budget.map(|b| (b as u64).saturating_sub(budget_spent));
     if let Some(remaining) = report.budget_remaining {
@@ -2906,8 +2512,6 @@ mod tests {
                 threads: 8,
                 deadline_ms: Some(5),
                 stop: Some(StopToken::new()),
-                incremental: false,
-                derived_costs: false,
                 ..a.clone()
             }),
             "non-decision knobs must not change the signature"
@@ -2945,93 +2549,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_engine_matches_reference_byte_for_byte() {
-        // The tentpole invariant in unit form: the incremental engine
-        // (delta enumeration + bound memo) must produce the same report
-        // and the same JSONL trace as the from-scratch reference, and
-        // the counters must be mode-invariant too.
-        let db = test_db();
-        let w = workload(&db, SELECTS);
-        let free = tune(&db, &w, &TunerOptions::default());
-        // A reachable budget (shallow search) and an unreachable one
-        // (deepest chain, maximal delta enumeration and score reuse).
-        for budget in [free.optimal_size * 0.4, 1.0] {
-            let run = |incremental: bool| {
-                let tracer = Tracer::new();
-                let mut r = tune_traced(
-                    &db,
-                    &w,
-                    &TunerOptions {
-                        space_budget: Some(budget),
-                        max_iterations: 60,
-                        validate_bounds: true,
-                        incremental,
-                        ..Default::default()
-                    },
-                    Some(&tracer),
-                );
-                r.elapsed = std::time::Duration::ZERO;
-                if let Some(t) = &mut r.trace {
-                    for p in &mut t.phases {
-                        p.elapsed = std::time::Duration::ZERO;
-                    }
-                    t.hot_phases.clear();
-                }
-                (format!("{r:#?}"), tracer.to_jsonl())
-            };
-            let (ra, ta) = run(true);
-            let (rb, tb) = run(false);
-            assert_eq!(ta, tb, "traces must be byte-identical across modes");
-            assert_eq!(ra, rb, "reports must be identical across modes");
-        }
-    }
-
-    #[test]
-    fn derived_costing_matches_reference_byte_for_byte() {
-        // Same contract as the incremental engine: flipping
-        // `derived_costs` may change which serves are backed by real
-        // optimizer invocations, but never the report, counters, or
-        // trace bytes.
-        let db = test_db();
-        let w = workload(&db, SELECTS);
-        let free = tune(&db, &w, &TunerOptions::default());
-        for budget in [free.optimal_size * 0.4, 1.0] {
-            let run = |derived_costs: bool| {
-                let tracer = Tracer::new();
-                let mut r = tune_traced(
-                    &db,
-                    &w,
-                    &TunerOptions {
-                        space_budget: Some(budget),
-                        max_iterations: 60,
-                        derived_costs,
-                        ..Default::default()
-                    },
-                    Some(&tracer),
-                );
-                r.elapsed = std::time::Duration::ZERO;
-                if let Some(t) = &mut r.trace {
-                    for p in &mut t.phases {
-                        p.elapsed = std::time::Duration::ZERO;
-                    }
-                    t.hot_phases.clear();
-                }
-                (format!("{r:#?}"), tracer.to_jsonl())
-            };
-            let (ra, ta) = run(true);
-            let (rb, tb) = run(false);
-            assert_eq!(ta, tb, "traces must be byte-identical across modes");
-            assert_eq!(ra, rb, "reports must be identical across modes");
-        }
-    }
-
-    #[test]
-    fn bound_memo_eliminates_duplicate_pricing() {
-        // The validate_bounds rescore prices the chosen transformation
-        // against a configuration the scoring pass already priced, so
-        // with the memo in the loop every accepted step is a hit: the
-        // same (transformation, configuration) pair is never priced
-        // twice.
+    fn children_inherit_parent_scores() {
         let db = test_db();
         // An unreachable budget forces the deepest possible relaxation
         // chain ("keep relaxing the last configuration while it does
@@ -3049,15 +2567,7 @@ mod tests {
             },
         );
         assert!(report.iterations > 0, "search must take steps");
-        // Every memo hit is a (transformation, configuration) pair that
-        // would have been priced a second time without the memo — the
-        // rescore of a candidate freshly scored at its own node is the
-        // guaranteed source of such hits.
-        assert!(
-            report.bound_memo_hits > 0,
-            "the validate_bounds rescore must hit the memo for freshly scored candidates"
-        );
-        assert!(report.bound_memo_misses > 0);
+        assert!(report.bound_checks > 0);
         assert!(report.candidates_generated > 0);
         assert!(
             report.candidates_reused > 0,

@@ -451,14 +451,12 @@ pub fn render_report(db: &pdt_catalog::Database, spec: &JobSpec, report: &Tuning
     }
     let _ = writeln!(
         out,
-        "stop={} iterations={} optimizer_calls={} cache={}h/{}m memo={}h/{}m faults={}",
+        "stop={} iterations={} optimizer_calls={} cache={}h/{}m faults={}",
         report.stop_reason.label(),
         report.iterations,
         report.optimizer_calls,
         report.cache_hits,
         report.cache_misses,
-        report.bound_memo_hits,
-        report.bound_memo_misses,
         report.faults.len()
     );
     for f in &report.faults {

@@ -141,6 +141,7 @@ impl fmt::Display for Json {
 /// Parse one JSON document (rejects trailing content).
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -156,6 +157,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -295,13 +297,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar from the source.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one step. Both are ASCII, so the run ends on a
+                    // char boundary of the (already valid UTF-8) input.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -391,5 +394,27 @@ mod tests {
         let v = Json::Str("héllo ↦ 世界".to_string());
         let s = v.to_string();
         assert_eq!(parse(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn string_decoding_is_linear_in_document_size() {
+        // Several megabytes of strings mixing multibyte scalars and
+        // escapes: a decoder that re-scans the rest of the input per
+        // character takes minutes here, a linear one milliseconds.
+        let items: Vec<Json> = (0..60_000)
+            .map(|i| Json::Str(format!("héllo ↦ 世界 \"q\" \\ tab\t line\n{i} ✓")))
+            .collect();
+        let doc = Json::Obj(vec![("items".into(), Json::Arr(items))]);
+        let text = doc.to_string();
+        assert!(text.len() > 2_000_000, "document is {} bytes", text.len());
+        let start = std::time::Instant::now();
+        let back = parse(&text).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(back, doc);
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
     }
 }

@@ -180,7 +180,7 @@ pub struct PhaseSummary {
 pub enum HotPhase {
     /// Transformation enumeration (from scratch or by delta).
     Candidates,
-    /// §3.3.2 bound pricing of fresh candidates (memo + apply).
+    /// §3.3.2 bound pricing of fresh candidates (apply + bound).
     Pricing,
     /// Workload cost evaluation (what-if optimizer calls + shells).
     Eval,

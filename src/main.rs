@@ -89,15 +89,6 @@ OPTIONS:
   --updates <ratio>             mix in DML statements (e.g. 0.5)
   --threads <n>                 worker threads, 0 = all cores  [default: $PDTUNE_THREADS or 1]
   --no-cache                    disable the shared what-if cost cache
-  --no-incremental              disable the incremental candidate engine
-                                (delta enumeration + bound memo); output
-                                is byte-identical either way
-  --no-derived-costs            disable derived what-if costing (relevant-
-                                structure cache keys + plan reuse); output
-                                is byte-identical either way
-  --no-flat-hot-path            disable the flat id-addressed hot path
-                                (interned sigs + dense-id memo/cache
-                                probes); output is byte-identical either way
   --optimizer-call-budget <n>   approximate tier: spend at most n real
                                 what-if invocations, serving bound-gap
                                 midpoint estimates elsewhere; exhausting
@@ -201,9 +192,6 @@ struct CliOptions {
     updates: Option<f64>,
     threads: usize,
     no_cache: bool,
-    no_incremental: bool,
-    no_derived_costs: bool,
-    no_flat_hot_path: bool,
     optimizer_call_budget: Option<usize>,
     trace: Option<String>,
     validate_bounds: bool,
@@ -298,9 +286,6 @@ impl CliOptions {
                         .map_err(|e| usage("--threads", &e))?
                 }
                 "--no-cache" => o.no_cache = true,
-                "--no-incremental" => o.no_incremental = true,
-                "--no-derived-costs" => o.no_derived_costs = true,
-                "--no-flat-hot-path" => o.no_flat_hot_path = true,
                 "--optimizer-call-budget" => {
                     o.optimizer_call_budget = Some(
                         value("--optimizer-call-budget")?
@@ -561,9 +546,6 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
         with_views: !o.indexes_only,
         threads: o.threads,
         cost_cache: !o.no_cache,
-        incremental: !o.no_incremental,
-        derived_costs: !o.no_derived_costs,
-        flat_hot_path: !o.no_flat_hot_path,
         optimizer_call_budget: o.optimizer_call_budget,
         validate_bounds: o.validate_bounds,
         deadline_ms: o.deadline,
@@ -712,15 +694,6 @@ fn cmd_tune(o: &CliOptions) -> Result<(), TuneError> {
             scored as f64 / report.candidates_generated.max(1) as f64
         );
     }
-    let memo_probes = report.bound_memo_hits + report.bound_memo_misses;
-    if memo_probes > 0 {
-        println!(
-            "bound memo: {} hits / {} misses ({:.1}% hit rate)",
-            report.bound_memo_hits,
-            report.bound_memo_misses,
-            100.0 * report.bound_memo_hits as f64 / memo_probes as f64
-        );
-    }
     if !report.faults.is_empty() {
         println!("faults contained: {}", report.faults.len());
         for f in &report.faults {
@@ -794,9 +767,6 @@ fn cmd_replay(o: &CliOptions) -> Result<(), TuneError> {
             with_views: !o.indexes_only,
             threads: o.threads,
             cost_cache: !o.no_cache,
-            incremental: !o.no_incremental,
-            derived_costs: !o.no_derived_costs,
-            flat_hot_path: !o.no_flat_hot_path,
             ..TunerOptions::default()
         },
     };
@@ -1239,31 +1209,29 @@ mod tests {
         }
     }
 
+    /// The engine has one mode; the `--no-<mode>` flags that once
+    /// selected its reference modes parse as unknown flags now.
+    fn assert_retired_flag_is_a_usage_error(flag: &str) {
+        let args = vec![flag.to_string()];
+        assert!(
+            matches!(CliOptions::parse(&args), Err(TuneError::Usage(_))),
+            "`{flag}` should be a usage error"
+        );
+    }
+
     #[test]
     fn cli_parses_incremental_flag() {
-        let o = CliOptions::parse(&[]).unwrap();
-        assert!(!o.no_incremental, "incremental engine is the default");
-        let args = vec!["--no-incremental".to_string()];
-        let o = CliOptions::parse(&args).unwrap();
-        assert!(o.no_incremental);
+        assert_retired_flag_is_a_usage_error("--no-incremental");
     }
 
     #[test]
     fn cli_parses_derived_costs_flag() {
-        let o = CliOptions::parse(&[]).unwrap();
-        assert!(!o.no_derived_costs, "derived costing is the default");
-        let args = vec!["--no-derived-costs".to_string()];
-        let o = CliOptions::parse(&args).unwrap();
-        assert!(o.no_derived_costs);
+        assert_retired_flag_is_a_usage_error("--no-derived-costs");
     }
 
     #[test]
     fn cli_parses_flat_hot_path_flag() {
-        let o = CliOptions::parse(&[]).unwrap();
-        assert!(!o.no_flat_hot_path, "the flat hot path is the default");
-        let args = vec!["--no-flat-hot-path".to_string()];
-        let o = CliOptions::parse(&args).unwrap();
-        assert!(o.no_flat_hot_path);
+        assert_retired_flag_is_a_usage_error("--no-flat-hot-path");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!     least 5x.
 //!
 //! Real invocations are read from the process-global optimizer
-//! counter, so every measuring test serializes on a file-local lock
-//! (the harness runs tests in this binary concurrently otherwise).
+//! counter, so every test that calls the optimizer serializes on a
+//! file-local lock (the harness runs tests in this binary concurrently
+//! otherwise, and one test's calls would land in another's deltas).
 //! The budget-exempt setup phase (base evaluation, instrumentation,
 //! optimal evaluation) is identical in both tiers; it is isolated with
 //! a `max_iterations: 0` session whose pre-pass contribution is
@@ -27,7 +28,8 @@ use pdtune::prelude::*;
 use pdtune::trace::{json, Tracer};
 use pdtune::workloads::{tpch, updates};
 
-/// Serializes every test that measures `invocation_count()` deltas.
+/// Serializes every test in this binary that calls the optimizer, so
+/// no test's calls land in another's `invocation_count()` deltas.
 /// Poison is irrelevant for a `()` guard — a panic in one test must
 /// not cascade lock failures into the others.
 static CALLS: Mutex<()> = Mutex::new(());
@@ -241,6 +243,7 @@ fn real_invocations_never_exceed_the_charged_budget() {
 /// in the trace, zero skip counters, no remaining-budget report.
 #[test]
 fn unlimited_budget_leaves_no_budget_artifacts() {
+    let _serial = serialize_calls();
     let (db, w) = inputs(7);
     let tracer = Tracer::new();
     let report = tune_traced(&db, &w, &options(None), Some(&tracer));
@@ -266,6 +269,7 @@ fn unlimited_budget_leaves_no_budget_artifacts() {
 /// lands within ε of the exact tier.
 #[test]
 fn larger_budgets_never_worsen_the_recommendation() {
+    let _serial = serialize_calls();
     let (db, w) = inputs(7);
     let exact = tune(&db, &w, &options(None))
         .best

@@ -217,7 +217,6 @@ struct PanelCase {
     update_ratio: f64,
     with_views: bool,
     budget: Budget,
-    iterations: usize,
     validate_bounds: bool,
     call_budget: Option<usize>,
     faults: Option<FaultPlan>,
@@ -265,7 +264,6 @@ fn panel() -> Vec<PanelCase> {
         update_ratio,
         with_views,
         budget,
-        iterations: 40,
         validate_bounds: false,
         call_budget: None,
         faults: None,
@@ -386,7 +384,7 @@ fn run_panel_case(case: &PanelCase, threads: usize) -> (TuningReport, String) {
         &w,
         &TunerOptions {
             space_budget,
-            max_iterations: case.iterations,
+            max_iterations: 40,
             with_views: case.with_views,
             threads,
             validate_bounds: case.validate_bounds,

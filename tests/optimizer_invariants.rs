@@ -2,8 +2,9 @@
 //! benchmark corpora.
 
 use pdtune::expr::Binder;
-use pdtune::opt::{Op, Optimizer};
+use pdtune::opt::{plan_footprint, Op, Optimizer};
 use pdtune::prelude::*;
+use pdtune::tuner::derived::{sorted_subset, RelevanceTable};
 use pdtune::tuner::instrument::gather_optimal_configuration;
 use pdtune::workloads::bench::{bench_database, bench_workload, BenchParams};
 use pdtune::workloads::tpch;
@@ -127,6 +128,65 @@ fn tpch_plans_are_sane_under_all_configurations() {
             let plan = opt.optimize(&config, q);
             assert!(plan.cost.is_finite() && plan.cost > 0.0, "{stmt}");
             assert!(plan.rows.is_finite() && plan.rows >= 0.0);
+        }
+    }
+}
+
+/// The soundness obligation derived what-if costing rests on: every
+/// structure a plan uses must be in the query's relevant set, for every
+/// configuration the search could visit. Exercised over seeded schemas
+/// with single- and two-column indexes (clustered and not, covering
+/// suffixes and not) plus the instrumentation-derived optimal
+/// configuration.
+#[test]
+fn relevant_sets_cover_every_plan_footprint() {
+    for seed in 0..24u64 {
+        let p = BenchParams {
+            name: format!("relevance-{seed}"),
+            tables: 2 + (seed % 2) as usize,
+            max_columns: 4 + (seed % 3) as usize,
+            max_rows: 3e4,
+            seed,
+        };
+        let db = bench_database(&p);
+        let spec = bench_workload(&db, seed ^ 0xF00, 4);
+        let w = Workload::bind(&db, &spec.statements).unwrap();
+        let rt = RelevanceTable::build(&db, &w);
+
+        let mut configs = vec![Configuration::base(&db)];
+        let (optimal, _) = gather_optimal_configuration(&db, &w, seed % 2 == 0);
+        configs.push(optimal);
+        // Single- and two-column indexes over every table, layered onto
+        // the base configuration a few at a time.
+        let mut layered = Configuration::base(&db);
+        for t in db.tables() {
+            for c in 0..t.columns.len().min(4) as u16 {
+                let mut one = Configuration::base(&db);
+                one.add_index(Index::new(t.id, [t.column_id(c)], []));
+                configs.push(one);
+                layered.add_index(Index::new(
+                    t.id,
+                    [t.column_id(c)],
+                    [t.column_id((c + 1) % t.columns.len() as u16)],
+                ));
+            }
+        }
+        configs.push(layered);
+
+        let opt = Optimizer::new(&db);
+        for config in &configs {
+            for (i, entry) in w.entries.iter().enumerate() {
+                let Some(q) = &entry.select else { continue };
+                let plan = opt.optimize(config, q);
+                let footprint = plan_footprint(&plan.index_usages, config);
+                let proj = rt.projection(i, config).expect("select entries have rows");
+                assert!(
+                    sorted_subset(&footprint, &proj.relevant),
+                    "seed {seed} query {i}: plan uses a structure outside the \
+                     relevant set\nfootprint: {footprint:x?}\nrelevant: {:x?}",
+                    proj.relevant,
+                );
+            }
         }
     }
 }

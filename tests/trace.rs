@@ -59,11 +59,6 @@ fn counters_reconcile_with_the_report() {
         tracer.counter("candidates.reused"),
         report.candidates_reused
     );
-    assert_eq!(tracer.counter("bound.memo.hits"), report.bound_memo_hits);
-    assert_eq!(
-        tracer.counter("bound.memo.misses"),
-        report.bound_memo_misses
-    );
     assert_eq!(
         tracer.counter("optimizer.calls_avoided"),
         report.optimizer_calls_avoided
@@ -211,10 +206,8 @@ fn session_begin_records_the_options() {
     );
     assert_eq!(v.get("entries").and_then(json::Json::as_i64), Some(4));
     assert_eq!(v.get("validate_bounds"), Some(&json::Json::Bool(true)));
-    // Run-environment knobs (thread count, pure-perf mode flags) must
-    // NOT be in the stream, or traces could never be compared across
-    // machines and modes.
+    // The thread count must NOT be in the stream, or traces could
+    // never be compared across machines.
     assert_eq!(v.get("threads"), None);
-    assert_eq!(v.get("derived_costs"), None);
     assert_eq!(v.get("budget").and_then(json::Json::as_f64), Some(budget));
 }
